@@ -309,17 +309,15 @@ func BenchmarkEval(b *testing.B) {
 		}},
 	}
 	for _, tc := range cases {
-		// The fused path runs under every kernel backend (the packed-vs-serial
-		// delta is the packed backend's acceptance number, the int8-vs-packed
-		// delta the quantized tier's); the reference layer-by-layer forward
-		// only ever uses the oracle entry points, so it gets a single serial
-		// arm.
+		// The fused path runs under both kernel backends (the int8-vs-serial
+		// delta is the quantized tier's acceptance number); the reference
+		// layer-by-layer forward only ever uses the oracle entry points, so
+		// it gets a single serial arm.
 		for _, arm := range []struct {
 			mode    string
 			backend tensor.Backend
 		}{
 			{"fused-serial", tensor.BackendSerial},
-			{"fused-packed", tensor.BackendPacked},
 			{"fused-int8", tensor.BackendInt8},
 			{"reference", tensor.BackendSerial},
 		} {
@@ -425,9 +423,9 @@ func BenchmarkServe(b *testing.B) {
 		inputs[i] = tensor.Randn(r, 0.5, 1, 8, 8)
 	}
 	// The virtual-time metrics (vthroughput, vp99) are backend-invariant by
-	// the schedule contract; the wall-clock ns/op deltas between the backend
-	// arms are the serving-path packed and int8 speedups.
-	for _, be := range []tensor.Backend{tensor.BackendSerial, tensor.BackendPacked, tensor.BackendInt8} {
+	// the schedule contract; the wall-clock ns/op delta between the backend
+	// arms is the serving-path int8 speedup.
+	for _, be := range []tensor.Backend{tensor.BackendSerial, tensor.BackendInt8} {
 		for _, maxBatch := range []int{1, 2, 4, 8, 16} {
 			b.Run(fmt.Sprintf("backend=%s/maxbatch=%d", be, maxBatch), func(b *testing.B) {
 				prev := tensor.ActiveBackend()

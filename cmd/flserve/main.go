@@ -46,7 +46,7 @@ func main() {
 		admission   = flag.String("admission", "", "overload admission policy DEPTH,DEADLINE: shed arrivals beyond DEPTH pending requests and queued requests older than DEADLINE at service start (either 0 disables that mechanism; empty or 'off' = no admission control)")
 		flush       = flag.String("flush", "", "queued-batch start order: fifo (default) or edf (earliest deadline first, deadline = oldest request arrival + admission DEADLINE)")
 		seed        = flag.Uint64("seed", 42, "random seed")
-		backend     = flag.String("kernel-backend", tensor.ActiveBackend().String(), "matmul kernel backend for the frozen replicas: auto (packed when profitable), serial (bit-identical oracle kernels), packed (force the cache-blocked kernel), int8 (force the quantized weight-stationary kernel, documented-tolerance tier); default honors HETEROSWITCH_KERNEL_BACKEND")
+		backend     = flag.String("kernel-backend", tensor.ActiveBackend().String(), "matmul kernel backend for the frozen replicas: serial (bit-identical oracle kernels, the default), int8 (force the quantized weight-stationary kernel, documented-tolerance tier); default honors HETEROSWITCH_KERNEL_BACKEND")
 
 		train      = flag.Bool("train", false, "run the train-while-serve harness (experiments \"train-serve\") instead of the synthetic load harness; serving-side flags above are ignored")
 		trainScale = flag.Float64("train-scale", 0.2, "train-while-serve workload scale (1 = full reproduction size)")

@@ -214,54 +214,36 @@
 //
 // # Kernel backends & numerics tiers
 //
-// The matmul layer under the frozen path is a three-backend dispatch
-// (internal/tensor/backend.go). Every tensor entry point belongs to exactly
-// one of two numerics tiers (with the int8 backend occupying a documented
-// looser corner of the tolerance tier):
+// The matmul layer under the frozen path has two backends
+// (internal/tensor/backend.go), and every tensor entry point belongs to one
+// of two numerics tiers:
 //
-//   - ORACLE tier — the unfused entry points (tensor.MatMul, MatMulSlices,
-//     MatMulP, the transpose variants, and everything the training stack
-//     touches). These always run the original register-tiled serial/parallel
-//     kernels with their exact float-op order; they never dispatch. Every
-//     tol-0 contract in the repo — training bit-reproducibility across
-//     budgets and worker counts, async equivalence, gradient checks — rides
-//     on this tier and is untouched by backend selection.
-//   - TOLERANCE tier — the fused epilogue entry points the frozen path
-//     compiles to (MatMulSlicesPEp, MatMulIntoPEp, MatMulAccSlicesPEp).
-//     These dispatch on the active backend and promise ≤1e-5-per-unit
-//     closeness to the oracle result with identical argmax, the same
-//     contract the BN fold already imposes on frozen outputs.
-//
-// The packed backend is a cache-blocked GEBP kernel: it packs B once into
-// panel-major 4-wide column panels (zero-padded tail), k-blocks at 256 so
-// the panel stays cache-resident, and runs a 2×4 register microkernel with
-// the row epilogue applied per completed row chunk. Pack buffers and
-// dispatch state recycle through pools, preserving the frozen path's
-// 0 allocs/op steady state. Parallelism row-partitions the shared read-only
-// packed panel, so every output element is still computed wholly by one
-// goroutine — packed outputs are bit-identical across intra-op budgets and
-// across concurrent replicas, which keeps the serving determinism contract
-// (digests, histograms) intact per backend. Numerically, packed differs from
-// the oracle only by k-block summation order (k > 256) and ±0/NaN edge
-// cases; TestPackedMatchesOracle sweeps shapes × budgets against the 1e-5 +
-// argmax contract.
+//   - ORACLE tier — every float entry point (tensor.MatMul, MatMulSlices,
+//     the *P row-parallel forms, the transpose variants, and the fused
+//     epilogue entries MatMulSlicesPEp/MatMulAccSlicesPEp). These run the
+//     register-tiled serial/parallel kernels with their exact per-target
+//     float-op order under every backend and are bit-identical at every
+//     intra-op budget. Every tol-0 contract in the repo — training
+//     bit-reproducibility across budgets and worker counts, async
+//     equivalence, gradient checks — rides on this tier, and so does the
+//     default frozen forward.
+//   - TOLERANCE tier — the weight-stationary fused entries the frozen path
+//     compiles to (MatMulWBSlicesPEp for dense, MatMulWASlicesPEp for conv).
+//     They dispatch on the active backend: BackendSerial (the default, the
+//     zero value) runs the oracle kernels on the caller's float weights;
+//     BackendInt8 runs the quantized kernel described below.
 //
 // Backend selection is process-wide: tensor.SetBackend /
-// tensor.ParseBackend, the HETEROSWITCH_KERNEL_BACKEND environment variable
-// (read at init), and the -kernel-backend flag on flsim, heterobench, and
-// flserve (experiments.Options.KernelBackend for library callers). The
-// default, BackendAuto, packs only when the shape profits (m ≥ 8 rows and
-// m·k·n ≥ 16384): packing costs O(k·n) writes, so tiny matmuls — the serve
-// smoke model's 4×9×64, say — stay on the oracle kernels, and forcing
-// -kernel-backend=packed on such shapes measurably loses to serial.
-// BackendSerial pins the oracle kernels everywhere and is bit-identical to
-// the pre-dispatch repo. The CI backend matrix runs the full suite under
-// both forced backends.
+// tensor.ParseBackend ("serial" or "int8"), the HETEROSWITCH_KERNEL_BACKEND
+// environment variable (read at init; an unknown value exits 2), and the
+// -kernel-backend flag on flsim, heterobench, and flserve
+// (experiments.Options.KernelBackend for library callers). The CI backend
+// matrix runs the full suite under forced int8; the default test job covers
+// serial.
 //
 // # Int8 tier & weight-stationary panels
 //
-// BackendInt8 is the quantized rung of the tolerance tier, strictly opt-in:
-// the auto heuristic never selects it, so the default lanes (and every
+// BackendInt8 is strictly opt-in, so the default lanes (and every
 // byte-identical smoke contract) are untouched unless the user forces
 // -kernel-backend=int8. The weight operand of each frozen matmul is
 // quantized symmetrically per output channel to 8 bits (biased-unsigned
@@ -269,30 +251,31 @@
 // tensor (im2col) at call time, and the SWAR microkernel accumulates exact
 // int32 dot products before a single float dequantize-and-epilogue per
 // output row. Because the integer accumulation is exact and the row
-// partitioning is the same as the float tiers, int8 outputs are bit-identical
-// across intra-op budgets and concurrent replicas — serving digests replay
-// exactly under int8, just with different bits than the float tiers. The
-// numeric promise is tensor.Int8Tol (5e-2 relative, unit-floored) against
-// the oracle with identical argmax; TestInt8MatchesOracle and the CI int8
-// matrix lane enforce it suite-wide.
+// partitioning is the same as the oracle kernels, int8 outputs are
+// bit-identical across intra-op budgets and concurrent replicas — serving
+// digests replay exactly under int8, just with different bits than serial.
+// The numeric promise is tensor.Int8Tol (5e-2 relative, unit-floored)
+// against the oracle with identical argmax; TestInt8MatchesOracle and the CI
+// int8 matrix lane enforce it suite-wide. Fused calls that carry no weight
+// handle (the raw-slice MatMulSlicesPEp/MatMulAccSlicesPEp) stay on the
+// oracle kernels under int8.
 //
 // Weights are stationary: tensor.PackedWeights holds a weight version's
-// packed forms (float GEBP panels, int8 panels, per-channel scales), built
-// once per (version, matmul slot) and reused across every replica and batch
-// of that version. Ownership rules: nn's PanelCache keys sets by version and
-// refcounts them across the replica pool — a replica acquires the set for
-// the version it is folding BEFORE releasing its previous set
-// (publish→retire safety), the newest set survives zero references so a
-// landing version never repacks, and superseded sets recycle their slot
-// arrays through a pool. A PackedWeights never retains the source weight
-// slice; callers pass the live folded weights at each fused entry call, so
-// there is no aliasing between a replica's fold buffer and the shared
-// panels. tensor.WeightPackCount observes the pack counter: steady state
-// packs once per slot per version — never per replica, never per batch —
-// and the int8 inference path allocates nothing per batch once scratch
-// pools are warm. The same PackedWeights handle makes the packed float
-// backend weight-stationary on the frozen path (panels built at fold time
-// instead of per call).
+// int8 form (lane-packed panels or biased rows, per-channel scales and
+// unbias corrections), built once per (version, matmul slot) and only under
+// BackendInt8, then reused across every replica and batch of that version.
+// Ownership rules: nn's PanelCache keys sets by version and refcounts them
+// across the replica pool — a replica acquires the set for the version it
+// is folding BEFORE releasing its previous set (publish→retire safety), the
+// newest set survives zero references so a landing version never repacks,
+// and superseded sets recycle their slot arrays through a pool. A
+// PackedWeights never retains the source weight slice; callers pass the
+// live folded weights at each fused entry call, which is also the fallback
+// operand when a handle lacks the int8 form, so there is no aliasing
+// between a replica's fold buffer and the shared panels.
+// tensor.WeightPackCount observes the pack counter: steady state packs once
+// per slot per version — never per replica, never per batch — and the int8
+// inference path allocates nothing per batch once scratch pools are warm.
 //
 // # Serving
 //

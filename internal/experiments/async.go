@@ -89,17 +89,7 @@ func AsyncSweep(opts Options) (*AsyncSweepResult, error) {
 		return nil, err
 	}
 	const k = 8
-	cfg := fl.Config{
-		Rounds:           opts.scaled(30),
-		ClientsPerRound:  k,
-		BatchSize:        10,
-		LocalEpochs:      1,
-		LR:               0.1,
-		Seed:             opts.Seed,
-		Workers:          opts.Workers,
-		DisableStreaming: opts.DisableStreaming,
-		IntraOp:          opts.IntraOp,
-	}
+	cfg := opts.flConfig(opts.scaled(30), k)
 	builder := SimpleCNNBuilder(opts.Seed, dd.Classes)
 	counts := MarketShareCounts(dd, 24)
 	test := dd.AllTest()

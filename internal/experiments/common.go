@@ -55,9 +55,8 @@ type Options struct {
 	// FL-driving harnesses.
 	Async AsyncOptions
 	// KernelBackend selects the matmul backend behind the frozen eval
-	// path's fused kernels (tensor.ParseBackend values: "auto" picks packed
-	// when profitable, "serial" forces the bit-identical oracle kernels,
-	// "packed" forces the cache-blocked kernel, "int8" forces the quantized
+	// path's weight-stationary kernels (tensor.ParseBackend values:
+	// "serial" runs the bit-identical oracle kernels, "int8" the quantized
 	// weight-stationary kernel at its documented tolerance; "" inherits the
 	// process-wide selection). Training kernels never dispatch. Applied
 	// process-wide by Run.
@@ -72,6 +71,24 @@ type Options struct {
 	// before aggregation. 0 keeps the gate off unless Faults is set, in
 	// which case it defaults to +Inf (reject non-finite only).
 	MaxDeltaNorm float64
+}
+
+// flConfig is the fl.Config every FL harness starts from: the given rounds
+// and clients per round, the paper's local-training defaults (B=10, E=1,
+// η=0.1), and the options' shared seed, worker, streaming and intra-op
+// settings. Harnesses then override only the fields where they differ.
+func (o Options) flConfig(rounds, clientsPerRound int) fl.Config {
+	return fl.Config{
+		Rounds:           rounds,
+		ClientsPerRound:  clientsPerRound,
+		BatchSize:        10,
+		LocalEpochs:      1,
+		LR:               0.1,
+		Seed:             o.Seed,
+		Workers:          o.Workers,
+		DisableStreaming: o.DisableStreaming,
+		IntraOp:          o.IntraOp,
+	}
 }
 
 // AsyncOptions configure the asynchronous aggregation path (fl.AsyncServer on

@@ -47,17 +47,9 @@ func ECG(opts Options) (*ECGResult, error) {
 	}
 
 	builder := models.ECGConvBuilder(opts.Seed, ecg.WindowLen)
-	cfg := fl.Config{
-		Rounds:           opts.scaled(150),
-		ClientsPerRound:  8,
-		BatchSize:        16,
-		LocalEpochs:      1,
-		LR:               0.05,
-		Seed:             opts.Seed,
-		Workers:          opts.Workers,
-		DisableStreaming: opts.DisableStreaming,
-		IntraOp:          opts.IntraOp,
-	}
+	cfg := opts.flConfig(opts.scaled(150), 8)
+	cfg.BatchSize = 16
+	cfg.LR = 0.05
 	counts := EqualCounts(int(ecg.NumSensors), 12)
 
 	hetero := core.New()

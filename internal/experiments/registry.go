@@ -56,7 +56,7 @@ func Run(name string, opts Options) (fmt.Stringer, error) {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
 	}
 	// An empty KernelBackend inherits the process-wide selection (flag
-	// default or HETEROSWITCH_KERNEL_BACKEND) instead of resetting to auto.
+	// default or HETEROSWITCH_KERNEL_BACKEND) instead of resetting to serial.
 	if opts.KernelBackend != "" {
 		kb, err := tensor.ParseBackend(opts.KernelBackend)
 		if err != nil {

@@ -112,17 +112,8 @@ func TrainWhileServe(opts Options) (*TrainServeReport, error) {
 		return nil, err
 	}
 	const k = 4
-	cfg := fl.Config{
-		Rounds:           opts.scaled(12),
-		ClientsPerRound:  k,
-		BatchSize:        8,
-		LocalEpochs:      1,
-		LR:               0.1,
-		Seed:             opts.Seed,
-		Workers:          opts.Workers,
-		DisableStreaming: opts.DisableStreaming,
-		IntraOp:          opts.IntraOp,
-	}
+	cfg := opts.flConfig(opts.scaled(12), k)
+	cfg.BatchSize = 8
 	if err := opts.applyRobustness(&cfg); err != nil {
 		return nil, err
 	}

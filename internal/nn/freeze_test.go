@@ -401,7 +401,7 @@ func TestEvalViewToggle(t *testing.T) {
 // and the lowering-free pointwise matmul — which all promise the im2col
 // matmul's per-target accumulation order. Pinned to the serial kernel
 // backend: bit-identity to the reference forward is the ORACLE-tier
-// contract, and the packed backend only promises ≤1e-5 (see tensor's
+// contract, and the int8 backend only promises Int8Tol (see tensor's
 // backend docs).
 func TestFrozenPureFusionBitIdentical(t *testing.T) {
 	prev := tensor.ActiveBackend()

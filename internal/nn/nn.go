@@ -394,7 +394,10 @@ func (w Weights) WriteTo(out io.Writer) (int64, error) {
 	return total, nil
 }
 
-// ReadWeights deserializes a weight set written by WriteTo.
+// ReadWeights deserializes a weight set written by WriteTo. Negative tensor
+// counts are rejected, and the tensor lists grow as tensors arrive, so a
+// header claiming more tensors than the stream holds fails at end of input
+// instead of allocating for the claim.
 func ReadWeights(in io.Reader) (Weights, error) {
 	readInt := func() (int64, error) {
 		var b [8]byte
@@ -407,6 +410,17 @@ func ReadWeights(in io.Reader) (Weights, error) {
 		}
 		return v, nil
 	}
+	readTensors := func(count int64) ([]*tensor.Tensor, error) {
+		ts := make([]*tensor.Tensor, 0, min(count, 64))
+		for int64(len(ts)) < count {
+			t := tensor.New()
+			if _, err := t.ReadFrom(in); err != nil {
+				return nil, err
+			}
+			ts = append(ts, t)
+		}
+		return ts, nil
+	}
 	np, err := readInt()
 	if err != nil {
 		return Weights{}, err
@@ -415,23 +429,15 @@ func ReadWeights(in io.Reader) (Weights, error) {
 	if err != nil {
 		return Weights{}, err
 	}
-	w := Weights{
-		Params: make([]*tensor.Tensor, np),
-		States: make([]*tensor.Tensor, ns),
+	if np < 0 || ns < 0 {
+		return Weights{}, fmt.Errorf("nn: negative tensor count (%d params, %d states)", np, ns)
 	}
-	for i := range w.Params {
-		t := tensor.New()
-		if _, err := t.ReadFrom(in); err != nil {
-			return Weights{}, err
-		}
-		w.Params[i] = t
+	var w Weights
+	if w.Params, err = readTensors(np); err != nil {
+		return Weights{}, err
 	}
-	for i := range w.States {
-		t := tensor.New()
-		if _, err := t.ReadFrom(in); err != nil {
-			return Weights{}, err
-		}
-		w.States[i] = t
+	if w.States, err = readTensors(ns); err != nil {
+		return Weights{}, err
 	}
 	return w, nil
 }

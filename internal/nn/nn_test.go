@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -123,6 +124,60 @@ func TestWeightsSerializationRoundtrip(t *testing.T) {
 			t.Fatalf("param %d differs", i)
 		}
 	}
+}
+
+// weightsHeader is a ReadWeights stream header: the param and state tensor
+// counts as little-endian int64s.
+func weightsHeader(np, ns int64) []byte {
+	b := binary.LittleEndian.AppendUint64(nil, uint64(np))
+	return binary.LittleEndian.AppendUint64(b, uint64(ns))
+}
+
+// TestReadWeightsRejectsBadHeaders: hostile counts and shapes must come back
+// as errors, before any allocation sized by the claim.
+func TestReadWeightsRejectsBadHeaders(t *testing.T) {
+	overflow := binary.LittleEndian.AppendUint32(weightsHeader(1, 0), 6)
+	for i := 0; i < 6; i++ {
+		overflow = binary.LittleEndian.AppendUint32(overflow, math.MaxUint32)
+	}
+	for name, in := range map[string][]byte{
+		"negative count":   weightsHeader(-1, 0),
+		"2^40 tensors":     weightsHeader(1<<40, 0),
+		"overflowing dims": overflow,
+	} {
+		if _, err := ReadWeights(bytes.NewReader(in)); err == nil {
+			t.Errorf("%s (%d bytes): accepted", name, len(in))
+		}
+	}
+}
+
+// FuzzReadWeights: any byte stream either decodes into weights that
+// re-serialize to exactly the bytes consumed, or returns an error — never a
+// panic or an allocation out of proportion to the input.
+func FuzzReadWeights(f *testing.F) {
+	var valid bytes.Buffer
+	if _, err := smallNet(5).Snapshot().WriteTo(&valid); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	f.Add(weightsHeader(-1, 0))
+	f.Add(weightsHeader(1<<40, 0))
+	// One state tensor claiming 65536×65536 elements with no data behind it.
+	f.Add(append(weightsHeader(0, 1), 2, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		r := bytes.NewReader(in)
+		w, err := ReadWeights(r)
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if _, err := w.WriteTo(&out); err != nil {
+			t.Fatal(err)
+		}
+		if consumed := in[:len(in)-r.Len()]; !bytes.Equal(out.Bytes(), consumed) {
+			t.Fatalf("re-serialized %d bytes differ from the %d consumed", out.Len(), len(consumed))
+		}
+	})
 }
 
 func TestSoftmaxCrossEntropyKnownValue(t *testing.T) {

@@ -99,63 +99,6 @@ func TestReplicaPoolConcurrentBitIdentical(t *testing.T) {
 	}
 }
 
-// Same contract with the packed matmul backend forced: concurrent replicas
-// hammer the shared pack-buffer pool from many goroutines, and every output
-// must still be bit-identical to a serial packed reference (packed outputs
-// are budget- and concurrency-invariant). Run with -race, this is the data
-// race test for packBufPool/packTaskPool under real replica traffic.
-func TestReplicaPoolConcurrentPackedBitIdentical(t *testing.T) {
-	prev := tensor.ActiveBackend()
-	tensor.SetBackend(tensor.BackendPacked)
-	t.Cleanup(func() { tensor.SetBackend(prev) })
-
-	build := func() *Network { return smallNet(99) }
-	pool := NewReplicaPool(4, build, 2)
-	src := smallNet(1)
-	w := src.Snapshot()
-
-	ref := NewReplica(build, 1)
-	if err := ref.Ensure(0, w); err != nil {
-		t.Fatal(err)
-	}
-	r := frand.New(7)
-	const requests = 64
-	inputs := make([]*tensor.Tensor, requests)
-	want := make([][]float32, requests)
-	for i := range inputs {
-		inputs[i] = tensor.Randn(r, 1, 2, 1, 8, 8)
-		out := ref.Infer(inputs[i])
-		want[i] = append([]float32(nil), out.Data()...)
-	}
-
-	got := make([][]float32, requests)
-	var wg sync.WaitGroup
-	for i := 0; i < requests; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rep := pool.Get()
-			defer pool.Put(rep)
-			if err := rep.Ensure(0, w); err != nil {
-				t.Error(err)
-				return
-			}
-			out := rep.Infer(inputs[i])
-			got[i] = append([]float32(nil), out.Data()...)
-		}(i)
-	}
-	wg.Wait()
-
-	for i := range want {
-		for j := range want[i] {
-			if got[i][j] != want[i][j] {
-				t.Fatalf("request %d output[%d] = %v, want %v (packed replica disagrees with packed serial reference)",
-					i, j, got[i][j], want[i][j])
-			}
-		}
-	}
-}
-
 // The pool's Get/Put cycle is the steady-state request path: it must not
 // allocate.
 func TestReplicaPoolZeroAllocCycle(t *testing.T) {

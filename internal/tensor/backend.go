@@ -10,66 +10,47 @@ import (
 //
 // The matmul entry points are split into two numerics tiers:
 //
-//   - The ORACLE tier: every kernel the training path uses (MatMul*,
-//     MatMulTransB*, MatMulTransAAcc*, and their *P row-parallel forms).
-//     These always run the serial/parallel register-tiled kernels with a
-//     strict per-target ascending-k accumulation order and are bit-exact
-//     at every intra-op budget. They never dispatch — the tol-0 training
-//     and aggregation reproducibility contracts stand on them.
+//   - The ORACLE tier: every float kernel (MatMul*, MatMulTransB*,
+//     MatMulTransAAcc*, their *P row-parallel forms, and the
+//     epilogue-fused MatMulSlicesPEp/MatMulAccSlicesPEp). These run the
+//     serial/parallel register-tiled kernels with a strict per-target
+//     ascending-k accumulation order and are bit-exact at every intra-op
+//     budget. The tol-0 training and aggregation reproducibility contracts
+//     stand on them, and so does the frozen path's float forward.
 //
-//   - The TOLERANCE tier: the epilogue-fused entry points the frozen
-//     inference path compiles to (MatMulSlicesPEp, MatMulIntoPEp,
-//     MatMulAccSlicesPEp). These dispatch through the process-wide Backend
-//     below and may run the packed, cache-blocked GEBP kernel, whose
-//     k-blocking reassociates partial sums. nn.Freeze's contract (≤1e-5
-//     max-abs vs the reference forward, identical argmax) absorbs that;
-//     BackendSerial forces the oracle kernels and is bit-identical to the
-//     pre-dispatch behavior.
-//
-// The int8-quantized tier sits one step further out on the same seam: the
-// frozen path's fused matmuls carry a PackedWeights handle (weights.go)
-// whose int8 panels and per-output-channel scales are quantized once per
-// weight version at nn.Freeze time, and BackendInt8 routes the
-// weight-stationary entry points below onto the integer microkernel
-// (int8.go). Its tolerance is LOOSER than the 1e-5 float tier (see the
-// documented bound in int8.go), so BackendAuto never selects it — int8 is
-// strictly opt-in via SetBackend/-kernel-backend/the environment variable.
+//   - The TOLERANCE tier: the weight-stationary fused entry points the
+//     frozen inference path compiles to (MatMulWBSlicesPEp,
+//     MatMulWASlicesPEp, weights.go). Under BackendInt8 they run the
+//     integer microkernel (int8.go) against the int8 panels and
+//     per-output-channel scales a PackedWeights handle quantized once per
+//     weight version at nn.Freeze time. Its documented bound is Int8Tol,
+//     looser than the float forward's 1e-5, so int8 is strictly opt-in via
+//     SetBackend/-kernel-backend/the environment variable. Under
+//     BackendSerial, and for every fused call that carries no weight
+//     handle, they run the oracle kernels.
 
-// Backend selects the kernel implementation behind the tolerance-tier
-// (epilogue-fused) matmul entry points.
+// Backend selects the kernel implementation behind the weight-stationary
+// fused matmul entry points.
 type Backend uint8
 
 const (
-	// BackendAuto picks per call: the packed GEBP kernel when the matmul is
-	// large enough to amortize packing, the oracle kernels otherwise. The
-	// default.
-	BackendAuto Backend = iota
-	// BackendSerial forces the oracle kernels everywhere — bit-identical to
-	// the pre-backend behavior at every budget.
-	BackendSerial
-	// BackendPacked forces the packed kernel for every eligible shape
-	// (k ≥ 1); used by the CI backend matrix lane and A/B benchmarks.
-	BackendPacked
+	// BackendSerial runs the oracle kernels everywhere — bit-identical at
+	// every budget. The zero value and the default.
+	BackendSerial Backend = iota
 	// BackendInt8 runs the weight-stationary fused matmuls (the frozen
 	// path's conv/dense kernels, which carry a PackedWeights handle) on the
 	// int8-quantized integer microkernel: weights quantized per output
 	// channel once per version, activations per call, int32 accumulation,
-	// float32 dequantizing epilogue. Tolerance-tier calls WITHOUT a weight
-	// handle (raw-slice fused entries) fall back to the packed float
-	// kernel. Never chosen by auto — the quantization error leaves the
-	// float tier's 1e-5 bound, so int8 must be forced explicitly.
+	// float32 dequantizing epilogue. Fused calls WITHOUT a weight handle
+	// (raw-slice fused entries) stay on the oracle kernels.
 	BackendInt8
 )
 
 // String implements fmt.Stringer.
 func (b Backend) String() string {
 	switch b {
-	case BackendAuto:
-		return "auto"
 	case BackendSerial:
 		return "serial"
-	case BackendPacked:
-		return "packed"
 	case BackendInt8:
 		return "int8"
 	}
@@ -79,20 +60,16 @@ func (b Backend) String() string {
 // ParseBackend maps the -kernel-backend flag values onto a Backend.
 func ParseBackend(s string) (Backend, error) {
 	switch s {
-	case "", "auto":
-		return BackendAuto, nil
-	case "serial":
+	case "", "serial":
 		return BackendSerial, nil
-	case "packed":
-		return BackendPacked, nil
 	case "int8":
 		return BackendInt8, nil
 	}
-	return BackendAuto, fmt.Errorf("tensor: unknown kernel backend %q (want auto, serial, packed, or int8)", s)
+	return BackendSerial, fmt.Errorf("tensor: unknown kernel backend %q (want serial or int8)", s)
 }
 
 // activeBackend is the process-wide selection; the zero value is
-// BackendAuto. Reads sit on the matmul hot path, so it is a lock-free
+// BackendSerial. Reads sit on the matmul hot path, so it is a lock-free
 // atomic like the fused-eval toggle.
 var activeBackend atomic.Uint32
 
@@ -124,45 +101,12 @@ func initBackendFromEnv(value string) error {
 // init honors the HETEROSWITCH_KERNEL_BACKEND environment variable so test
 // lanes (the CI backend matrix) can force a backend across whole packages
 // without threading flags through every harness. An unknown value is a
-// configuration error, not a preference: silently falling back to auto would
+// configuration error, not a preference: silently falling back to serial would
 // make a CI lane test the wrong backend while reporting green, so the
 // process fails loudly at startup instead.
 func init() {
 	if err := initBackendFromEnv(os.Getenv("HETEROSWITCH_KERNEL_BACKEND")); err != nil {
 		fmt.Fprintln(os.Stderr, "tensor:", err)
 		os.Exit(2)
-	}
-}
-
-// Auto-dispatch thresholds: packing B costs k·n writes against m·k·n
-// multiply-adds of compute, so the packed kernel needs enough rows to
-// amortize the pack (m ≥ packAutoMinRows ⇒ pack ≤ 1/packAutoMinRows of
-// compute) and enough total work for the panel loop's bookkeeping to
-// vanish. Below either bound the oracle kernels win and auto stays on
-// them.
-const (
-	packAutoMinRows = 8
-	packAutoMinWork = 1 << 14
-)
-
-// usePacked reports whether a tolerance-tier matmul of the given shape
-// dispatches to the packed kernel under the active backend. k == 0 always
-// stays on the oracle path (the packed driver's first k-block doubles as
-// the output initialization, so it needs at least one block). BackendInt8
-// behaves like BackendPacked here: a raw-slice fused matmul has no
-// per-channel weight scales to quantize against, so the closest honest
-// kernel is the packed float one (the weight-stationary entry points
-// dispatch to the true int8 kernel before ever reaching this check).
-func usePacked(m, k, n int) bool {
-	if k <= 0 || m <= 0 || n <= 0 {
-		return false
-	}
-	switch ActiveBackend() {
-	case BackendPacked, BackendInt8:
-		return true
-	case BackendSerial:
-		return false
-	default:
-		return m >= packAutoMinRows && m*k*n >= packAutoMinWork
 	}
 }

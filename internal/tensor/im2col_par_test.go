@@ -74,11 +74,9 @@ func TestCol2ImColsCoverage(t *testing.T) {
 
 // TestMatMulEpilogueBitIdentical: the fused epilogue runs row-locally inside
 // each chunk, so a fused kernel must equal the unfused kernel followed by
-// the same per-row pass, bit for bit, at every budget. Pinned to the serial
-// backend: this is the oracle fused path's contract; the packed backend's
-// tolerance contract is covered in packed_test.go.
+// the same per-row pass, bit for bit, at every budget. The fused entries
+// run the oracle kernels under every backend (backend_test.go sweeps both).
 func TestMatMulEpilogueBitIdentical(t *testing.T) {
-	forceBackend(t, BackendSerial)
 	r := frand.New(79)
 	for _, sz := range parShapes {
 		a := Randn(r, 1, sz.m, sz.k)
@@ -92,8 +90,8 @@ func TestMatMulEpilogueBitIdentical(t *testing.T) {
 		}
 		for _, par := range parBudgets {
 			got := Randn(r, 1, sz.m, sz.n)
-			MatMulIntoPEp(par, got, a, b, ep)
-			exactEqual(t, fmt.Sprintf("MatMulIntoPEp(%d) %dx%dx%d", par, sz.m, sz.k, sz.n),
+			MatMulSlicesPEp(par, got.Data(), a.Data(), b.Data(), sz.m, sz.k, sz.n, ep)
+			exactEqual(t, fmt.Sprintf("MatMulSlicesPEp(%d) %dx%dx%d", par, sz.m, sz.k, sz.n),
 				got.Data(), want.Data())
 		}
 	}

@@ -9,7 +9,8 @@ import (
 )
 
 // Int8-quantized matmul — the BackendInt8 kernel behind the weight-stationary
-// fused entry points (weights.go). Strictly opt-in: auto never selects it.
+// fused entry points (weights.go). Strictly opt-in: the default backend is
+// the serial oracle.
 //
 // Quantization scheme (symmetric, zero-point-free in VALUE, biased in
 // STORAGE — see the SWAR layout below):
@@ -25,13 +26,13 @@ import (
 //
 // SWAR microkernel: a scalar int32 multiply has HALF the throughput of a
 // float multiply on amd64 (IMUL binds to one port; MULSS issues on two), so
-// an element-at-a-time integer kernel loses to the float GEBP kernel. The
+// an element-at-a-time integer kernel loses to the float kernels. The
 // int8 kernel instead stores both operands BIASED to unsigned (q' = q+128 ∈
 // [1,255]) and packs the B panel as 64-bit words holding two 32-bit lanes of
 // adjacent columns; one 64-bit multiply by an A byte then produces BOTH lane
 // products (each ≤ 255² = 65025, far below the 2³² lane boundary), and lane
 // sums accumulate in place: 4 multiplies per k-step drive the full 2×4 tile,
-// twice the MAC density of the float microkernel. The store peels the two
+// twice the MAC density of a float 2×4 tile. The store peels the two
 // int32 lane accumulators apart and removes the bias exactly with the
 // zero-point identity
 //
@@ -44,7 +45,7 @@ import (
 // recovered dot product is bit-for-bit the signed int8 dot.
 // Dequantization multiplies once per target, out = float32(dot) · rowFactor
 // · colScale (fixed multiply order), then the caller's row epilogue (bias +
-// activation) runs in float32 exactly as on the float backends.
+// activation) runs in float32 exactly as on the oracle kernels.
 //
 // Determinism: per-row/per-tensor maxabs reductions scan in fixed index
 // order inside the worker that owns the rows (float max is exact, so even
@@ -72,6 +73,16 @@ const int8MaxK = 66000
 
 // int8Bias is the storage zero point; 16384 = int8Bias².
 const int8Bias = 128
+
+// packMR × packNR is the microkernel's output tile, shared by the
+// version-stationary weight panels (weights.go) and the per-call activation
+// panels below: a panel holds packNR adjacent columns as two 64-bit words
+// of two 32-bit lanes per depth step, and one A byte multiplies a whole word
+// at once, so 2 rows × 4 columns need only 4 multiplies per k-step.
+const (
+	packMR = 2
+	packNR = 4
+)
 
 // abs32 is |v| without the float64 round-trip of math.Abs.
 func abs32(v float32) float32 {
@@ -158,8 +169,8 @@ func quantVal(v, inv float32) int8 {
 }
 
 // int8Scratch pools the per-call activation quantization state (both
-// orientations share one shape of scratch), mirroring packBuf so warm int8
-// dispatches allocate nothing.
+// orientations share one shape of scratch), so warm int8 dispatches allocate
+// nothing.
 type int8Scratch struct {
 	q     []uint8   // biased A rows (dense path)
 	words []uint64  // biased lane-packed B panels (conv path)

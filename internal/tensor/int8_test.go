@@ -12,10 +12,11 @@ import (
 // The int8 backend's contract (int8.go): quantized results track the oracle
 // within Int8Tol (relative past unit magnitude) with identical per-row
 // argmax, are bit-identical across intra-op budgets, dispatch falls back to
-// the float kernels when a handle lacks the quantized form, warm dispatches
+// the oracle kernels when a handle lacks the quantized form, warm dispatches
 // allocate nothing, and weight packs happen per Refresh — never per call.
 
-// int8TolOK is packedTolOK with the int8 tier's documented bound.
+// int8TolOK reports whether got is within the int8 tier's documented bound
+// of want: Int8Tol absolute, scaled by |want| past unit magnitude.
 func int8TolOK(got, want float32) bool {
 	w := math.Abs(float64(want))
 	if w < 1 {
@@ -202,8 +203,8 @@ func TestInt8GroupRowOffset(t *testing.T) {
 }
 
 // TestWeightStationaryFallbacks: a handle refreshed under one backend must
-// stay CORRECT under every other — missing forms fall back to the float
-// kernels on the aliased weights, bit-identical to the raw-slice entries.
+// stay CORRECT under every other — a missing form falls back to the oracle
+// kernels on the caller's weights, bit-identical to the raw-slice entries.
 func TestWeightStationaryFallbacks(t *testing.T) {
 	r := frand.New(149)
 	const m, k, n = 6, 20, 11
@@ -212,12 +213,12 @@ func TestWeightStationaryFallbacks(t *testing.T) {
 	forceBackend(t, BackendSerial) // refresh builds no forms at all
 	pwB := refreshB(w, k, n)
 	pwA := refreshA(a, m, k)
-	if pwB.HasFloat() || pwB.HasInt8() || pwA.HasInt8() {
+	if pwB.HasInt8() || pwA.HasInt8() {
 		t.Fatal("serial refresh built forms it can never use")
 	}
 	want := make([]float32, m*n)
 	got := make([]float32, m*n)
-	for _, be := range []Backend{BackendSerial, BackendPacked, BackendAuto, BackendInt8} {
+	for _, be := range []Backend{BackendSerial, BackendInt8} {
 		forceBackend(t, be)
 		clear(want)
 		MatMulSlicesPEp(2, want, a.Data(), w.Data(), m, k, n, nil)
@@ -230,27 +231,17 @@ func TestWeightStationaryFallbacks(t *testing.T) {
 		}
 		clear(got)
 		MatMulWASlicesPEp(2, got, a.Data(), pwA, 0, m, w.Data(), n, false, nil)
-		// The as-A float fallback always runs the raw kernels on the aliased
-		// rows; under int8/packed the raw entry may dispatch packed — both
-		// sides must still agree bit-for-bit only when the kernel matches,
-		// so compare against the entry's own documented fallback.
-		clear(want)
-		if usePacked(m, k, n) {
-			matMulPackedEp(2, want, a.Data(), w.Data(), m, k, n, false, nil)
-		} else {
-			MatMulSlicesPEp(2, want, a.Data(), w.Data(), m, k, n, nil)
-		}
 		for i := range got {
-			if math.Abs(float64(got[i]-want[i])) > 1e-5 {
-				t.Fatalf("wa fallback backend=%s: [%d] %g vs %g", be, i, got[i], want[i])
+			if got[i] != want[i] {
+				t.Fatalf("wa fallback backend=%s: [%d] %g != raw %g", be, i, got[i], want[i])
 			}
 		}
 	}
 }
 
-// TestWeightPackCount: Refresh packs exactly the forms the active backend
-// needs, and DISPATCH never packs — the packs == installed-versions
-// accounting the frozen path's steady-state contract stands on.
+// TestWeightPackCount: Refresh quantizes only under the int8 backend, and
+// DISPATCH never packs — the packs == installed-versions accounting the
+// frozen path's steady-state contract stands on.
 func TestWeightPackCount(t *testing.T) {
 	r := frand.New(151)
 	const m, k, n = 8, 16, 12
@@ -274,12 +265,12 @@ func TestWeightPackCount(t *testing.T) {
 		t.Fatalf("10 dispatches packed %d forms, want 0", got)
 	}
 
-	forceBackend(t, BackendPacked)
+	forceBackend(t, BackendSerial)
 	before = WeightPackCount()
-	refreshB(w, k, n) // float panels only
-	refreshA(a, m, k) // as-A needs no form under packed
-	if got := WeightPackCount() - before; got != 1 {
-		t.Fatalf("packed refreshes packed %d forms, want 1", got)
+	refreshB(w, k, n)
+	refreshA(a, m, k)
+	if got := WeightPackCount() - before; got != 0 {
+		t.Fatalf("serial refreshes packed %d forms, want 0", got)
 	}
 }
 
@@ -372,7 +363,7 @@ func TestBackendParseInt8(t *testing.T) {
 // that error into a hard exit, so a CI lane can never silently test the
 // wrong backend).
 func TestInitBackendFromEnv(t *testing.T) {
-	forceBackend(t, BackendAuto)
+	forceBackend(t, BackendSerial)
 	if err := initBackendFromEnv("int8"); err != nil {
 		t.Fatalf("int8: %v", err)
 	}
@@ -382,17 +373,19 @@ func TestInitBackendFromEnv(t *testing.T) {
 	if err := initBackendFromEnv(""); err != nil || ActiveBackend() != BackendInt8 {
 		t.Fatalf("empty value must be a no-op, got err=%v backend=%v", err, ActiveBackend())
 	}
-	err := initBackendFromEnv("fast")
-	if err == nil || !strings.Contains(err.Error(), "HETEROSWITCH_KERNEL_BACKEND") {
-		t.Fatalf("unknown value err = %v, want the variable named", err)
-	}
-	if ActiveBackend() != BackendInt8 {
-		t.Fatalf("reject must not change the backend, got %v", ActiveBackend())
+	for _, v := range []string{"fast", "auto", "packed"} {
+		err := initBackendFromEnv(v)
+		if err == nil || !strings.Contains(err.Error(), "HETEROSWITCH_KERNEL_BACKEND") {
+			t.Fatalf("unknown value %q err = %v, want the variable named", v, err)
+		}
+		if ActiveBackend() != BackendInt8 {
+			t.Fatalf("rejecting %q must not change the backend, got %v", v, ActiveBackend())
+		}
 	}
 }
 
-// BenchmarkMatMulInt8 A/Bs the integer kernel against the float backends on
-// the weight-stationary entry (weights pre-packed for packed/int8, so the
+// BenchmarkMatMulInt8 A/Bs the integer kernel against the serial oracle on
+// the weight-stationary entry (weights pre-quantized for int8, so the
 // comparison isolates kernel speed the way the frozen path sees it).
 func BenchmarkMatMulInt8(b *testing.B) {
 	r := frand.New(163)
@@ -406,7 +399,7 @@ func BenchmarkMatMulInt8(b *testing.B) {
 		a := Randn(r, 1, sz.m, sz.k)
 		w := fanInScaled(r, sz.k, sz.n)
 		out := make([]float32, sz.m*sz.n)
-		for _, be := range []Backend{BackendSerial, BackendPacked, BackendInt8} {
+		for _, be := range []Backend{BackendSerial, BackendInt8} {
 			b.Run(fmt.Sprintf("%dx%dx%d/backend=%s", sz.m, sz.k, sz.n, be), func(b *testing.B) {
 				prev := ActiveBackend()
 				SetBackend(be)

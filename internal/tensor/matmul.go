@@ -52,16 +52,6 @@ func MatMulInto(out, a, b *Tensor) {
 	MatMulSlices(out.data, a.data, b.data, m, k, n)
 }
 
-// MatMulAccInto computes out += a @ b without zeroing out first.
-func MatMulAccInto(out, a, b *Tensor) {
-	m, k := a.shape[0], a.shape[1]
-	n := b.shape[1]
-	if b.shape[0] != k || out.shape[0] != m || out.shape[1] != n {
-		panic("tensor: MatMulAccInto shape mismatch")
-	}
-	matmulAcc(out.data, a.data, b.data, m, k, n)
-}
-
 // MatMulSlices computes out = a @ b on raw row-major slices: out[m,n],
 // a[m,k], b[k,n]. It is the header-free entry point used by layers that
 // multiply sub-slices of larger buffers (e.g. grouped convolution) on the
@@ -116,49 +106,12 @@ func matmulAcc(out, a, b []float32, m, k, n int) {
 	}
 }
 
-// MatMulTransB returns a @ bᵀ for a[m,k] and b[n,k] as [m,n]. This avoids
-// materializing the transpose in backward passes.
-func MatMulTransB(a, b *Tensor) *Tensor {
-	m, n := transBDims(a, b)
-	out := New(m, n)
-	matMulTransB(out.data, a.data, b.data, m, a.shape[1], n, false)
-	return out
-}
-
-// MatMulTransBInto computes out = a @ bᵀ into the existing [m,n] tensor.
-func MatMulTransBInto(out, a, b *Tensor) {
-	m, n := transBDims(a, b)
-	if out.shape[0] != m || out.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulTransBInto out shape %v, want [%d %d]", out.shape, m, n))
-	}
-	matMulTransB(out.data, a.data, b.data, m, a.shape[1], n, false)
-}
-
-// MatMulTransBAccInto computes out += a @ bᵀ for a[m,k] and b[n,k] into the
-// existing [m,n] tensor — the allocation-free weight-gradient accumulation
-// for convolution (dW += dy @ colᵀ) on the per-batch training hot path.
-func MatMulTransBAccInto(out, a, b *Tensor) {
-	m, n := transBDims(a, b)
-	if out.shape[0] != m || out.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulTransBAccInto out shape %v, want [%d %d]", out.shape, m, n))
-	}
-	matMulTransB(out.data, a.data, b.data, m, a.shape[1], n, true)
-}
-
-// MatMulTransBAccSlices is MatMulTransBAccInto on raw row-major slices:
-// out[m,n] += a[m,k] @ b[n,k]ᵀ.
+// MatMulTransBAccSlices computes out[m,n] += a[m,k] @ b[n,k]ᵀ on raw
+// row-major slices — the allocation-free weight-gradient accumulation for
+// convolution (dW += dy @ colᵀ) on the per-batch training hot path, without
+// materializing the transpose.
 func MatMulTransBAccSlices(out, a, b []float32, m, k, n int) {
 	matMulTransB(out, a, b, m, k, n, true)
-}
-
-func transBDims(a, b *Tensor) (m, n int) {
-	if len(a.shape) != 2 || len(b.shape) != 2 {
-		panic("tensor: MatMulTransB needs 2-D tensors")
-	}
-	if a.shape[1] != b.shape[1] {
-		panic(fmt.Sprintf("tensor: MatMulTransB inner dims %d != %d", a.shape[1], b.shape[1]))
-	}
-	return a.shape[0], b.shape[0]
 }
 
 // matMulTransB computes out[m,n] (+)= a[m,k] @ b[n,k]ᵀ. Each output element
@@ -203,17 +156,6 @@ func matMulTransB(out, a, b []float32, m, k, n int, acc bool) {
 			}
 		}
 	}
-}
-
-// MatMulTransA returns aᵀ @ b for a[k,m] and b[k,n] as [m,n], used for
-// weight-gradient computation (xᵀ @ dy).
-func MatMulTransA(a, b *Tensor) *Tensor {
-	if len(a.shape) != 2 || len(b.shape) != 2 {
-		panic("tensor: MatMulTransA needs 2-D tensors")
-	}
-	out := New(a.shape[1], b.shape[1])
-	MatMulTransAAccInto(out, a, b)
-	return out
 }
 
 // MatMulTransAAccInto computes out += aᵀ @ b for a[k,m] and b[k,n] into the
@@ -389,10 +331,17 @@ func MatMulIntoP(par int, out, a, b *Tensor) {
 	MatMulSlicesP(par, out.data, a.data, b.data, m, k, n)
 }
 
-// MatMulTransBIntoP is MatMulTransBInto with output rows computed in
-// parallel under the given intra-op budget.
+// MatMulTransBIntoP computes out = a @ bᵀ for a[m,k] and b[n,k] into the
+// existing [m,n] tensor, output rows computed in parallel under the given
+// intra-op budget — the dense layer's input gradient (dx = dy @ Wᵀ).
 func MatMulTransBIntoP(par int, out, a, b *Tensor) {
-	m, n := transBDims(a, b)
+	if len(a.shape) != 2 || len(b.shape) != 2 {
+		panic("tensor: MatMulTransBIntoP needs 2-D tensors")
+	}
+	if a.shape[1] != b.shape[1] {
+		panic(fmt.Sprintf("tensor: MatMulTransBIntoP inner dims %d != %d", a.shape[1], b.shape[1]))
+	}
+	m, n := a.shape[0], b.shape[0]
 	if out.shape[0] != m || out.shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulTransBIntoP out shape %v, want [%d %d]", out.shape, m, n))
 	}
@@ -402,16 +351,6 @@ func MatMulTransBIntoP(par int, out, a, b *Tensor) {
 		return
 	}
 	runMMTask(par, m, mmTask{kind: mmTransB, out: out.data, a: a.data, b: b.data, k: k, n: n})
-}
-
-// MatMulTransBAccSlicesP is MatMulTransBAccSlices with output rows computed
-// in parallel under the given intra-op budget.
-func MatMulTransBAccSlicesP(par int, out, a, b []float32, m, k, n int) {
-	if par <= 1 {
-		matMulTransB(out, a, b, m, k, n, true)
-		return
-	}
-	runMMTask(par, m, mmTask{kind: mmTransB, out: out, a: a, b: b, k: k, n: n, acc: true})
 }
 
 // MatMulTransAAccIntoP is MatMulTransAAccInto with the result's rows
@@ -452,17 +391,12 @@ func MatMulTransAAccSlicesP(par int, out, a, b []float32, k, m, n int) {
 // are still cache-resident, instead of whole separate layer passes over the
 // output tensor. A nil ep degrades to the plain kernel.
 //
-// These entry points — and only these — are the TOLERANCE tier: they
-// dispatch through the process-wide Backend (see backend.go) and may run
-// the packed GEBP kernel instead of the oracle kernels. Every unfused entry
-// point above stays on the oracle kernels unconditionally.
+// They run the oracle kernels under every backend, so they are bit-exact at
+// every budget; only their weight-stationary wrappers (weights.go) dispatch
+// on the Backend (see backend.go).
 
 // MatMulSlicesPEp is MatMulSlicesP with a fused row epilogue.
 func MatMulSlicesPEp(par int, out, a, b []float32, m, k, n int, ep RowEpilogue) {
-	if usePacked(m, k, n) {
-		matMulPackedEp(par, out, a, b, m, k, n, false, ep)
-		return
-	}
 	if par <= 1 {
 		MatMulSlices(out, a, b, m, k, n)
 		if ep != nil {
@@ -473,25 +407,11 @@ func MatMulSlicesPEp(par int, out, a, b []float32, m, k, n int, ep RowEpilogue) 
 	runMMTask(par, m, mmTask{kind: mmAB, out: out, a: a, b: b, k: k, n: n, ep: ep})
 }
 
-// MatMulIntoPEp is MatMulIntoP with a fused row epilogue.
-func MatMulIntoPEp(par int, out, a, b *Tensor, ep RowEpilogue) {
-	m, k := a.shape[0], a.shape[1]
-	n := b.shape[1]
-	if b.shape[0] != k || out.shape[0] != m || out.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulIntoPEp out shape %v, want [%d %d]", out.shape, m, n))
-	}
-	MatMulSlicesPEp(par, out.data, a.data, b.data, m, k, n, ep)
-}
-
 // MatMulAccSlicesPEp is MatMulSlicesPEp without the initial clear:
 // out[m,n] += a[m,k] @ b[k,n], ep fused per completed row chunk. The frozen
 // Residual skip-path fold uses it to add the projected input onto the body
 // output in one pass.
 func MatMulAccSlicesPEp(par int, out, a, b []float32, m, k, n int, ep RowEpilogue) {
-	if usePacked(m, k, n) {
-		matMulPackedEp(par, out, a, b, m, k, n, true, ep)
-		return
-	}
 	if par <= 1 {
 		matmulAcc(out, a, b, m, k, n)
 		if ep != nil {

@@ -56,28 +56,30 @@ func TestMatMulIntoPBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMatMulTransBIntoPBitIdentical covers out = a @ bᵀ and the accumulating
-// slice form out += a @ bᵀ.
+// TestMatMulTransBIntoPBitIdentical covers out = a @ bᵀ against the serial
+// kernel, and the accumulating slice form out += a @ bᵀ, which adds each
+// finished dot product onto out in one rounding step.
 func TestMatMulTransBIntoPBitIdentical(t *testing.T) {
 	r := frand.New(22)
 	for _, sz := range parShapes {
 		a := Randn(r, 1, sz.m, sz.k)
 		b := Randn(r, 1, sz.n, sz.k)
 		want := New(sz.m, sz.n)
-		MatMulTransBInto(want, a, b)
+		matMulTransB(want.Data(), a.Data(), b.Data(), sz.m, sz.k, sz.n, false)
 		base := Randn(r, 1, sz.m, sz.n)
 		wantAcc := base.Clone()
-		MatMulTransBAccSlices(wantAcc.Data(), a.Data(), b.Data(), sz.m, sz.k, sz.n)
+		for i, v := range want.Data() {
+			wantAcc.Data()[i] += v
+		}
+		gotAcc := base.Clone()
+		MatMulTransBAccSlices(gotAcc.Data(), a.Data(), b.Data(), sz.m, sz.k, sz.n)
+		exactEqual(t, fmt.Sprintf("MatMulTransBAccSlices %dx%dx%d", sz.m, sz.k, sz.n),
+			gotAcc.Data(), wantAcc.Data())
 		for _, par := range parBudgets {
 			got := Randn(r, 1, sz.m, sz.n)
 			MatMulTransBIntoP(par, got, a, b)
 			exactEqual(t, fmt.Sprintf("MatMulTransBIntoP(%d) %dx%dx%d", par, sz.m, sz.k, sz.n),
 				got.Data(), want.Data())
-
-			gotAcc := base.Clone()
-			MatMulTransBAccSlicesP(par, gotAcc.Data(), a.Data(), b.Data(), sz.m, sz.k, sz.n)
-			exactEqual(t, fmt.Sprintf("MatMulTransBAccSlicesP(%d) %dx%dx%d", par, sz.m, sz.k, sz.n),
-				gotAcc.Data(), wantAcc.Data())
 		}
 	}
 }

@@ -262,8 +262,15 @@ func (t *Tensor) WriteTo(w io.Writer) (int64, error) {
 	return written, err
 }
 
+// readChunk bounds the bytes ReadFrom reads per step. The data slice grows
+// by append as chunks arrive, so a header that claims more elements than the
+// stream holds costs at most twice the bytes actually read, never the
+// claimed size.
+const readChunk = 64 << 10
+
 // ReadFrom deserializes a tensor previously written with WriteTo, replacing
-// t's shape and contents.
+// t's shape and contents. A shape whose element count overflows int is
+// rejected before anything is allocated for the data.
 func (t *Tensor) ReadFrom(r io.Reader) (int64, error) {
 	var read int64
 	var ndims [4]byte
@@ -272,7 +279,7 @@ func (t *Tensor) ReadFrom(r io.Reader) (int64, error) {
 	if err != nil {
 		return read, err
 	}
-	nd := int(binary.LittleEndian.Uint32(ndims[:]))
+	nd := binary.LittleEndian.Uint32(ndims[:])
 	if nd > 8 {
 		return read, fmt.Errorf("tensor: implausible ndim %d", nd)
 	}
@@ -285,18 +292,25 @@ func (t *Tensor) ReadFrom(r io.Reader) (int64, error) {
 	shape := make([]int, nd)
 	size := 1
 	for i := range shape {
-		shape[i] = int(binary.LittleEndian.Uint32(shapeBuf[4*i:]))
-		size *= shape[i]
+		d := int(binary.LittleEndian.Uint32(shapeBuf[4*i:]))
+		shape[i] = d
+		if d != 0 && size > math.MaxInt/4/d {
+			return read, fmt.Errorf("tensor: shape %v overflows the element count", shape[:i+1])
+		}
+		size *= d
 	}
-	buf := make([]byte, 4*size)
-	n, err = io.ReadFull(r, buf)
-	read += int64(n)
-	if err != nil {
-		return read, err
-	}
-	data := make([]float32, size)
-	for i := range data {
-		data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
+	data := make([]float32, 0, min(size, readChunk/4))
+	buf := make([]byte, 4*cap(data))
+	for len(data) < size {
+		c := min(size-len(data), cap(buf)/4)
+		n, err = io.ReadFull(r, buf[:4*c])
+		read += int64(n)
+		if err != nil {
+			return read, err
+		}
+		for i := 0; i < c; i++ {
+			data = append(data, math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:])))
+		}
 	}
 	t.shape = shape
 	t.data = data

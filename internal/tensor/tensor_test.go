@@ -209,10 +209,11 @@ func TestMatMulTransB(t *testing.T) {
 	r := frand.New(2)
 	a := Randn(r, 1, 7, 5)
 	b := Randn(r, 1, 9, 5)
-	got := MatMulTransB(a, b)
+	got := New(7, 9)
+	MatMulTransBIntoP(1, got, a, b)
 	want := MatMul(a, b.Transpose2D())
 	if !got.AllClose(want, 1e-4) {
-		t.Fatal("MatMulTransB != a @ bT")
+		t.Fatal("MatMulTransBIntoP != a @ bT")
 	}
 }
 
@@ -220,10 +221,11 @@ func TestMatMulTransA(t *testing.T) {
 	r := frand.New(3)
 	a := Randn(r, 1, 8, 4)
 	b := Randn(r, 1, 8, 6)
-	got := MatMulTransA(a, b)
+	got := New(4, 6)
+	MatMulTransAAccInto(got, a, b)
 	want := MatMul(a.Transpose2D(), b)
 	if !got.AllClose(want, 1e-4) {
-		t.Fatal("MatMulTransA != aT @ b")
+		t.Fatal("MatMulTransAAccInto != aT @ b")
 	}
 }
 
@@ -231,10 +233,10 @@ func TestMatMulAccInto(t *testing.T) {
 	a := FromSlice([]float32{1, 0, 0, 1}, 2, 2)
 	b := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
 	out := Ones(2, 2)
-	MatMulAccInto(out, a, b)
+	matmulAcc(out.Data(), a.Data(), b.Data(), 2, 2, 2)
 	want := FromSlice([]float32{2, 3, 4, 5}, 2, 2)
 	if !out.AllClose(want, 1e-6) {
-		t.Fatalf("MatMulAccInto = %v", out.Data())
+		t.Fatalf("matmulAcc = %v", out.Data())
 	}
 }
 

@@ -7,9 +7,9 @@ import (
 
 // Weight-stationary packed panels ---------------------------------------------
 //
-// A PackedWeights handle caches the backend-specific forms of one frozen
-// matmul's weight operand, so packing and quantization run once per WEIGHT
-// VERSION instead of once per call. The frozen inference ops (nn.Freeze)
+// A PackedWeights handle caches the int8 form of one frozen matmul's weight
+// operand, so quantization and packing run once per WEIGHT VERSION instead
+// of once per call. The frozen inference ops (nn.Freeze)
 // own a handle per fused matmul and refresh it when they re-fold; serving
 // replicas share handles across replicas and batches through nn's
 // version-keyed panel cache, so in steady state the only per-batch work on
@@ -18,22 +18,17 @@ import (
 // Two orientations exist because the frozen path puts weights on both sides
 // of its matmuls:
 //
-//   - weights-as-B (PackB): the dense layer computes x @ W, so W is the
-//     packable right operand. The float form is exactly the packed GEBP
-//     backend's panel-major layout — caching it makes the float packed
-//     backend weight-stationary too (bit-identical to per-call packing, the
-//     panels are the same bytes). The int8 form is the same panel layout
-//     quantized with one symmetric scale per output COLUMN.
-//   - weights-as-A (PackA): the conv layers compute W @ col, so W is the
-//     left operand, already row-major contiguous — the float kernels need
-//     no repacking (the per-call pack cost there is on the activation side).
-//     Only the int8 form is cached: rows quantized with one symmetric scale
-//     per output ROW (= per output channel).
+//   - weights-as-B (RefreshB): the dense layer computes x @ W, so W is the
+//     right operand, quantized with one symmetric scale per output COLUMN
+//     into packNR-wide lane-packed panels (int8.go layout).
+//   - weights-as-A (RefreshA): the conv layers compute W @ col, so W is the
+//     left operand, quantized row-major with one symmetric scale per output
+//     ROW (= per output channel).
 //
-// Forms are built lazily per the active backend at refresh time; a dispatch
-// that finds its form missing (the backend changed after the last refresh)
-// falls back to the per-call kernels on the CALLER's float weights, so a
-// stale handle can cost performance but never correctness. The handle
+// The form is built at refresh time only when the active backend is int8;
+// a dispatch that finds it missing (the backend changed after the last
+// refresh) falls back to the oracle kernels on the CALLER's float weights,
+// so a stale handle can cost performance but never correctness. The handle
 // deliberately retains no reference to the source weights: a handle shared
 // across serving replicas must not alias one replica's fold buffer, which
 // that replica overwrites on its next version — every cached form is a
@@ -49,9 +44,8 @@ type PackedWeights struct {
 	m, k int // weights-as-A dims [m,k]; as-B uses k,n
 	n    int
 
-	fpanels []float32 // float panel-major B panels (as-B only)
-	qpanels []uint64  // int8 as-B form: biased lane-packed panels (int8.go layout)
-	qrows   []uint8   // int8 as-A form: biased row-major [m,k]
+	qpanels []uint64 // int8 as-B form: biased lane-packed panels (int8.go layout)
+	qrows   []uint8  // int8 as-A form: biased row-major [m,k]
 	// qcorr holds the precomputed unbias corrections per output channel:
 	// as-B per column, k·16384 − 128·Σw′ (the constant rides with the
 	// stationary side); as-A per row, −128·Σw′ (the constant rides with the
@@ -59,26 +53,17 @@ type PackedWeights struct {
 	qcorr  []int64
 	scales []float32 // per-output-channel dequant scales: as-A len m, as-B len n
 
-	hasFloat, hasInt8 bool
+	hasInt8 bool
 }
 
-// weightPacks counts every form actually packed/quantized into a
+// weightPacks counts every int8 form actually quantized into a
 // PackedWeights — the "packs happen per installed version, not per batch"
 // accounting the serving panel-cache tests assert on.
 var weightPacks atomic.Uint64
 
-// WeightPackCount returns the process-wide number of weight-form packs
-// (float panel packs + int8 quantizations) performed so far.
+// WeightPackCount returns the process-wide number of int8 weight
+// quantizations performed so far.
 func WeightPackCount() uint64 { return weightPacks.Load() }
-
-// Reset invalidates all cached forms (keeping their capacity) so the handle
-// can be repacked for a new weight version.
-func (pw *PackedWeights) Reset() {
-	pw.hasFloat, pw.hasInt8 = false, false
-}
-
-// HasFloat reports whether the float panel form is cached (as-B only).
-func (pw *PackedWeights) HasFloat() bool { return pw.hasFloat }
 
 // HasInt8 reports whether the int8 quantized form is cached.
 func (pw *PackedWeights) HasInt8() bool { return pw.hasInt8 }
@@ -92,65 +77,32 @@ func (pw *PackedWeights) Dims() (int, int) {
 	return pw.k, pw.n
 }
 
-// needForms maps the active backend onto the forms worth building now.
-// Serial never touches a cached form; auto and packed use float panels;
-// int8 uses the quantized form. Building only what the current backend can
-// consume keeps the refold pass from paying for kernels that will not run.
-func needForms(asA bool) (wantFloat, wantInt8 bool) {
-	switch ActiveBackend() {
-	case BackendInt8:
-		return false, true
-	case BackendSerial:
-		return false, false
-	default: // auto, packed
-		return !asA, false
-	}
-}
-
-// RefreshB (re)binds the handle to the weights-as-B matrix w[k,n] and packs
-// the forms the active backend consumes. w is read during the call only —
-// the handle keeps copies, never the slice.
+// RefreshB (re)binds the handle to the weights-as-B matrix w[k,n] and, under
+// BackendInt8, quantizes it. Serial never reads a cached form, so the refold
+// pass builds none there. w is read during the call only — the handle keeps
+// copies, never the slice.
 func (pw *PackedWeights) RefreshB(w []float32, k, n int) {
 	if len(w) < k*n {
 		panic(fmt.Sprintf("tensor: RefreshB weights %d short of %dx%d", len(w), k, n))
 	}
 	pw.asA, pw.k, pw.n, pw.m = false, k, n, 0
-	pw.hasFloat, pw.hasInt8 = false, false
-	wantFloat, wantInt8 := needForms(false)
-	if wantFloat {
-		pw.packFloatB(w)
-	}
-	if wantInt8 {
+	pw.hasInt8 = false
+	if ActiveBackend() == BackendInt8 {
 		pw.quantizeB(w)
 	}
 }
 
-// RefreshA (re)binds the handle to the weights-as-A matrix w[m,k] and packs
-// the forms the active backend consumes.
+// RefreshA (re)binds the handle to the weights-as-A matrix w[m,k] and, under
+// BackendInt8, quantizes it.
 func (pw *PackedWeights) RefreshA(w []float32, m, k int) {
 	if len(w) < m*k {
 		panic(fmt.Sprintf("tensor: RefreshA weights %d short of %dx%d", len(w), m, k))
 	}
 	pw.asA, pw.m, pw.k, pw.n = true, m, k, 0
-	pw.hasFloat, pw.hasInt8 = false, false
-	if _, wantInt8 := needForms(true); wantInt8 {
+	pw.hasInt8 = false
+	if ActiveBackend() == BackendInt8 {
 		pw.quantizeA(w)
 	}
-}
-
-// packFloatB builds the panel-major float form — byte-identical to what the
-// per-call packed backend would build from the same weights, so routing
-// through the cache never changes a result bit.
-func (pw *PackedWeights) packFloatB(w []float32) {
-	np := (pw.n + packNR - 1) / packNR
-	size := np * pw.k * packNR
-	if cap(pw.fpanels) < size {
-		pw.fpanels = make([]float32, size)
-	}
-	pw.fpanels = pw.fpanels[:size]
-	packB(pw.fpanels, w, pw.k, pw.n)
-	pw.hasFloat = true
-	weightPacks.Add(1)
 }
 
 // quantizeB builds the int8 panel form of the as-B weights with one
@@ -259,24 +211,18 @@ func (pw *PackedWeights) quantizeA(w []float32) {
 // Weight-stationary fused entry points ----------------------------------------
 //
 // These are the tolerance-tier entries the frozen ops call when they hold a
-// PackedWeights handle. They dispatch like the raw-slice entries, with two
-// extra fast paths: BackendInt8 runs the integer microkernel against the
-// handle's quantized form, and the packed float backend reuses the handle's
-// panels instead of re-packing per call.
+// PackedWeights handle. BackendInt8 runs the integer microkernel against the
+// handle's quantized form; otherwise they run the oracle fused kernels on the
+// caller's float weights.
 
 // MatMulWBSlicesPEp computes out[m,n] (+)= a[m,k] @ W for a weights-as-B
 // handle (k, n from the handle), ep fused per completed row chunk — the
-// frozen dense entry. w is the caller's own float weights [k,n], used only
-// when the handle lacks the active backend's form (never when the int8 or
-// cached-panel fast path runs).
+// frozen dense entry. w is the caller's own float weights [k,n], used
+// whenever the int8 kernel does not run.
 func MatMulWBSlicesPEp(par int, out, a, w []float32, pw *PackedWeights, m int, accum bool, ep RowEpilogue) {
 	k, n := pw.k, pw.n
 	if ActiveBackend() == BackendInt8 && pw.hasInt8 {
 		matMulInt8B(par, out, a, pw, m, accum, ep)
-		return
-	}
-	if usePacked(m, k, n) && pw.hasFloat {
-		runPackedPanels(par, out, a, pw.fpanels, m, k, n, accum, ep)
 		return
 	}
 	if accum {

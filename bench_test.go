@@ -70,10 +70,15 @@ func BenchmarkUnseenDeviceDG(b *testing.B) { runExperiment(b, "unseen-dg") }
 
 // Aggregation-pipeline benchmarks ---------------------------------------------
 
+// barrierOnly hides the wrapped strategy's StreamingAggregator (the
+// embedded interface exposes only fl.Strategy's methods), so the server
+// collects every result of the round and calls Aggregate.
+type barrierOnly struct{ fl.Strategy }
+
 // benchServer builds a K-client federation over a ~10k-parameter dense model
 // with tiny per-client datasets, so weight-snapshot traffic dominates the
 // allocation profile of a round.
-func benchServer(b *testing.B, k, workers int, barrier bool) *fl.Server {
+func benchServer(b *testing.B, k, workers int, strat fl.Strategy) *fl.Server {
 	b.Helper()
 	r := frand.New(99)
 	clients := make([]*fl.Client, k)
@@ -91,9 +96,9 @@ func benchServer(b *testing.B, k, workers int, barrier bool) *fl.Server {
 	}
 	cfg := fl.Config{
 		Rounds: 1, ClientsPerRound: k, BatchSize: 2, LocalEpochs: 1,
-		LR: 0.1, Seed: 1, Workers: workers, DisableStreaming: barrier,
+		LR: 0.1, Seed: 1, Workers: workers,
 	}
-	srv, err := fl.NewServer(cfg, builder, nn.SoftmaxCrossEntropy{}, fl.FedAvg{}, clients)
+	srv, err := fl.NewServer(cfg, builder, nn.SoftmaxCrossEntropy{}, strat, clients)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -101,18 +106,19 @@ func benchServer(b *testing.B, k, workers int, barrier bool) *fl.Server {
 }
 
 // BenchmarkServerRound measures one communication round at K∈{8,64,512}
-// participants on both aggregation paths. The acceptance target: on the
-// streaming path, weight-buffer allocations scale with Workers, not K
-// (compare B/op of streaming vs barrier at K=512).
+// participants, with FedAvg folded by its streaming accumulator and by the
+// collecting accumulator that strategies without a streaming fold use. The
+// acceptance target: streaming weight-buffer allocations scale with
+// Workers, not K (compare B/op of streaming vs collect at K=512).
 func BenchmarkServerRound(b *testing.B) {
 	const workers = 4
 	for _, k := range []int{8, 64, 512} {
 		for _, mode := range []struct {
-			name    string
-			barrier bool
-		}{{"streaming", false}, {"barrier", true}} {
+			name  string
+			strat fl.Strategy
+		}{{"streaming", fl.FedAvg{}}, {"collect", barrierOnly{fl.FedAvg{}}}} {
 			b.Run(fmt.Sprintf("K=%d/W=%d/%s", k, workers, mode.name), func(b *testing.B) {
-				srv := benchServer(b, k, workers, mode.barrier)
+				srv := benchServer(b, k, workers, mode.strat)
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

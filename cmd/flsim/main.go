@@ -66,8 +66,6 @@ func main() {
 		seed     = flag.Uint64("seed", 42, "random seed")
 		workers  = flag.Int("workers", 4, "parallel client trainers")
 		intraop  = flag.Int("intraop", 0, "total intra-op kernel parallelism budget, split across workers (0 = GOMAXPROCS, 1 = serial kernels; results are bit-identical at every setting)")
-		barrier  = flag.Bool("barrier", false, "force legacy barrier aggregation (materialize all K snapshots)")
-		fused    = flag.Bool("fused-eval", true, "evaluate through the frozen inference fast path (BN folded, activations fused); -fused-eval=false keeps the reference layer-by-layer eval forward")
 		backend  = flag.String("kernel-backend", tensor.ActiveBackend().String(), "matmul kernel backend for the frozen eval path: serial (bit-identical oracle kernels, the default), int8 (force the quantized weight-stationary kernel, documented-tolerance tier); training always uses the oracle kernels; default honors HETEROSWITCH_KERNEL_BACKEND")
 		logEvery = flag.Int("log-every", 10, "print loss every N rounds")
 
@@ -84,7 +82,6 @@ func main() {
 		maxStale      = flag.Int("max-staleness", 0, "drop async results staler than this many aggregation windows instead of folding them (0 = fold everything)")
 	)
 	flag.Parse()
-	nn.SetFusedEval(*fused)
 	kb, err := tensor.ParseBackend(*backend)
 	if err != nil {
 		fatal(err)
@@ -109,15 +106,14 @@ func main() {
 		fatal(err)
 	}
 	cfg := fl.Config{
-		Rounds:           *rounds,
-		ClientsPerRound:  *k,
-		BatchSize:        *batch,
-		LocalEpochs:      *epochs,
-		LR:               *lr,
-		Seed:             *seed,
-		Workers:          *workers,
-		IntraOp:          *intraop,
-		DisableStreaming: *barrier,
+		Rounds:          *rounds,
+		ClientsPerRound: *k,
+		BatchSize:       *batch,
+		LocalEpochs:     *epochs,
+		LR:              *lr,
+		Seed:            *seed,
+		Workers:         *workers,
+		IntraOp:         *intraop,
 	}
 	fm, err := faults.ParseSpec(*faultSpec, *seed)
 	if err != nil {

@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"heteroswitch/internal/experiments"
-	"heteroswitch/internal/nn"
 	"heteroswitch/internal/tensor"
 )
 
@@ -34,8 +33,6 @@ func main() {
 		seed    = flag.Uint64("seed", 42, "master random seed")
 		workers = flag.Int("workers", 0, "parallel workers (0 = auto)")
 		intraop = flag.Int("intraop", 0, "total intra-op kernel parallelism budget, split across workers (0 = GOMAXPROCS, 1 = serial kernels; results are bit-identical at every setting)")
-		barrier = flag.Bool("barrier", false, "force legacy barrier aggregation instead of streaming")
-		fused   = flag.Bool("fused-eval", true, "evaluate through the frozen inference fast path (BN folded, activations fused); -fused-eval=false keeps the reference layer-by-layer eval forward")
 		backend = flag.String("kernel-backend", tensor.ActiveBackend().String(), "matmul kernel backend for the frozen eval path: serial (bit-identical oracle kernels, the default), int8 (force the quantized weight-stationary kernel, documented-tolerance tier); training always uses the oracle kernels; default honors HETEROSWITCH_KERNEL_BACKEND")
 		list    = flag.Bool("list", false, "list available experiments")
 
@@ -52,7 +49,6 @@ func main() {
 		maxStale      = flag.Int("max-staleness", 0, "drop async results staler than this many aggregation windows instead of folding them (0 = fold everything)")
 	)
 	flag.Parse()
-	nn.SetFusedEval(*fused)
 
 	if *list {
 		for _, name := range experiments.Names() {
@@ -71,7 +67,6 @@ func main() {
 	if *workers > 0 {
 		opts.Workers = *workers
 	}
-	opts.DisableStreaming = *barrier
 	opts.IntraOp = *intraop
 	opts.KernelBackend = *backend
 	opts.Async = experiments.AsyncOptions{

@@ -14,36 +14,37 @@
 //
 // # Streaming shard-parallel aggregation
 //
-// The server's round loop (internal/fl.Server.RunRound) aggregates on a
-// streaming pipeline rather than a barrier. Strategies whose aggregation
-// rule is a per-client fold — FedAvg, FedProx, and HeteroSwitch — implement
-// the optional fl.StreamingAggregator capability:
+// The server's round loop (internal/fl.Server.RunRound) is one loop for
+// every strategy. Each worker goroutine trains its contiguous block of the
+// round's sampled clients on its own replica, snapshots every result into
+// its own scratch buffer, passes it through the validation gate, and folds
+// it into a private shard accumulator; the shards are merged tree-style at
+// round end, always the right shard into the left:
 //
 //	NewAccumulator(global, cfg) → Accumulator
 //	Accumulator.Accumulate(result)   // fold one client, buffers reusable after
 //	Accumulator.Merge(other)         // absorb a sibling shard
 //	Accumulator.Finalize() → Weights // new global model
 //
-// Each worker goroutine trains its contiguous block of the round's sampled
-// clients, snapshots into a pooled per-worker scratch buffer, and folds the
-// result into a private shard accumulator in place; the shards are merged
-// tree-style at round end. Peak weight memory is therefore O(workers)
-// instead of O(K) — at K=512, W=4 the streaming path allocates ~78% fewer
-// bytes per round than the barrier path (BenchmarkServerRound). Shard sums
-// are kept in float64, confining the merge order's effect to
+// Strategies whose aggregation rule is a per-client fold — FedAvg, FedProx,
+// and HeteroSwitch — implement the optional fl.StreamingAggregator
+// capability, so peak weight memory is O(workers) instead of O(K)
+// (BenchmarkServerRound compares B/op against the collecting arm). Shard
+// sums are kept in float64, confining the merge order's effect to
 // double-precision rounding (below float32 resolution in practice), and
-// client→worker assignment on this path is static (contiguous index
-// blocks), so runs with a fixed config are bit-reproducible. The barrier
-// fallback keeps the original dynamic work queue, since it aggregates in
-// client order regardless of scheduling.
+// client→worker assignment is static, so runs with a fixed config are
+// bit-reproducible. HeteroSwitch's accumulator additionally folds the eq. 1
+// inputs (Σ L_train·n, Σ n) per-result, so the L_EMA switching signal is
+// identical to its Aggregate's.
 //
-// HeteroSwitch's accumulator additionally folds the eq. 1 inputs
-// (Σ L_train·n, Σ n) per-result, so the L_EMA switching signal is identical
-// to the barrier path's. Strategies that genuinely need every result at
-// once (q-FedAvg's normalized step, SCAFFOLD's control-variate update) do
-// not implement the capability and keep the legacy Strategy.Aggregate
-// barrier; fl.Config.DisableStreaming forces that fallback everywhere for
-// A/B comparisons (flsim -barrier, experiments.Options.DisableStreaming).
+// Strategies that genuinely need every result at once (q-FedAvg's
+// normalized step, SCAFFOLD's control-variate update) do not implement the
+// capability. NewServer wraps them in a collecting accumulator: Accumulate
+// keeps a copy of each admitted result, Merge appends the right shard's
+// results, and Finalize calls the strategy's own Aggregate on them. Since
+// the blocks are contiguous and merges run left to right, Aggregate sees the
+// results in sampling order, so these strategies are bit-identical at every
+// worker count.
 //
 // # Arena-backed zero-allocation training hot path
 //
@@ -194,15 +195,15 @@
 // without folded BN (SqueezeNet) are bit-exact, and the frozen forward is
 // itself bit-identical across intra-op budgets. Training paths are
 // untouched: every tol-0 training bit-reproducibility contract (arena,
-// intra-op, async) holds unchanged. Consumers route through nn.EvalView,
-// which returns the frozen replica when fused eval is enabled (the default)
-// and the reference forward under -fused-eval=false (flsim, heterobench) or
-// nn.SetFusedEval(false): metrics.Accuracy / MeanLoss / PerDeviceAccuracy /
-// MultiLabelScores, fl.EvalLoss (per-client L_init, including inside server
-// workers and the async completion loop), and the experiment eval sweeps.
-// The reference path also remains the only path for anything that needs
-// batch statistics or backward passes — training, gradient checks — and for
-// exact A/B measurements (BenchmarkEval fused vs reference).
+// intra-op, async) holds unchanged. Every evaluation routes through
+// nn.EvalView, which always returns the frozen replica:
+// metrics.Accuracy / MeanLoss / PerDeviceAccuracy / MultiLabelScores,
+// fl.EvalLoss (per-client L_init, including inside server workers and the
+// async completion loop), and the experiment eval sweeps. The reference
+// forward (nn.Network.Infer/Forward) remains the only path for anything that
+// needs batch statistics or backward passes — training, gradient checks —
+// and the reference the tests and BenchmarkEval compare the frozen view
+// against.
 //
 // Loss evaluation on this path is value-only: losses implement nn.LossValuer
 // (EvalValue), which computes the scalar loss with exactly the float-op

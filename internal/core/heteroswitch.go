@@ -180,9 +180,9 @@ func (h *HeteroSwitch) updateLEMA(lcur float64) {
 }
 
 // Aggregate implements fl.Strategy: FedAvg aggregation plus the eq. 1 EMA
-// update over the round's sample-weighted mean train loss. This is the
-// barrier fallback; the streaming path below computes the same quantities
-// per-result.
+// update over the round's sample-weighted mean train loss. The server
+// streams through the accumulator below instead, which computes the same
+// quantities per-result.
 func (h *HeteroSwitch) Aggregate(global nn.Weights, results []fl.ClientResult, cfg fl.Config) nn.Weights {
 	if len(results) == 0 {
 		return global
@@ -200,7 +200,7 @@ func (h *HeteroSwitch) Aggregate(global nn.Weights, results []fl.ClientResult, c
 
 // accumulator streams HeteroSwitch aggregation: the weight fold is FedAvg's,
 // and the eq. 1 inputs (Σ L_train·n, Σ n) fold per-result alongside it, so
-// switching semantics are identical to the barrier path.
+// switching semantics are identical to Aggregate's.
 type accumulator struct {
 	weights fl.Accumulator
 	h       *HeteroSwitch

@@ -8,18 +8,27 @@ import (
 	"heteroswitch/internal/nn"
 )
 
-// One round of streaming HeteroSwitch must match the barrier path: same
-// aggregated weights (within float32 tolerance) and the same L_EMA, since
-// the accumulator folds the identical eq. 1 inputs per-result.
+// barrierOnly hides HeteroSwitch's StreamingAggregator (the embedded
+// interface exposes only fl.Strategy's methods), so the server collects the
+// round's results and calls HeteroSwitch.Aggregate.
+type barrierOnly struct{ fl.Strategy }
+
+// One round of streaming HeteroSwitch must match collect-then-Aggregate:
+// same aggregated weights (within float32 tolerance) and the same L_EMA,
+// since the accumulator folds the identical eq. 1 inputs per-result.
 func TestHeteroSwitchStreamingMatchesBarrierRound(t *testing.T) {
 	run := func(disable bool) (*HeteroSwitch, nn.Weights) {
 		clients, _ := toyPopulation(33)
 		cfg := fl.Config{
 			Rounds: 1, ClientsPerRound: 4, BatchSize: 4, LocalEpochs: 1,
-			LR: 0.1, Seed: 13, Workers: 2, DisableStreaming: disable,
+			LR: 0.1, Seed: 13, Workers: 2,
 		}
 		hs := New()
-		srv, err := fl.NewServer(cfg, toyBuilder(), nn.SoftmaxCrossEntropy{}, hs, clients)
+		var strat fl.Strategy = hs
+		if disable {
+			strat = barrierOnly{hs}
+		}
+		srv, err := fl.NewServer(cfg, toyBuilder(), nn.SoftmaxCrossEntropy{}, strat, clients)
 		if err != nil {
 			t.Fatal(err)
 		}

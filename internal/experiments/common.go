@@ -40,11 +40,6 @@ type Options struct {
 	Workers int
 	// OutRes is the model input resolution.
 	OutRes int
-	// DisableStreaming forces the legacy barrier aggregation in every
-	// harness (fl.Config.DisableStreaming): all K client snapshots are
-	// materialized before aggregating. The streaming shard-parallel path is
-	// the default; this is the A/B knob for memory/latency comparisons.
-	DisableStreaming bool
 	// IntraOp is the total intra-op kernel parallelism budget
 	// (fl.Config.IntraOp): cores the tensor kernels may occupy across all
 	// client workers combined. 0 = auto (GOMAXPROCS, split evenly across
@@ -75,19 +70,18 @@ type Options struct {
 
 // flConfig is the fl.Config every FL harness starts from: the given rounds
 // and clients per round, the paper's local-training defaults (B=10, E=1,
-// η=0.1), and the options' shared seed, worker, streaming and intra-op
+// η=0.1), and the options' shared seed, worker and intra-op
 // settings. Harnesses then override only the fields where they differ.
 func (o Options) flConfig(rounds, clientsPerRound int) fl.Config {
 	return fl.Config{
-		Rounds:           rounds,
-		ClientsPerRound:  clientsPerRound,
-		BatchSize:        10,
-		LocalEpochs:      1,
-		LR:               0.1,
-		Seed:             o.Seed,
-		Workers:          o.Workers,
-		DisableStreaming: o.DisableStreaming,
-		IntraOp:          o.IntraOp,
+		Rounds:          rounds,
+		ClientsPerRound: clientsPerRound,
+		BatchSize:       10,
+		LocalEpochs:     1,
+		LR:              0.1,
+		Seed:            o.Seed,
+		Workers:         o.Workers,
+		IntraOp:         o.IntraOp,
 	}
 }
 
@@ -97,8 +91,8 @@ func (o Options) flConfig(rounds, clientsPerRound int) fl.Config {
 type AsyncOptions struct {
 	// Enabled switches RunFL/RunFLWithLoss to the asynchronous server for
 	// strategies that can stream; barrier-only strategies (q-FedAvg,
-	// SCAFFOLD) silently keep the synchronous round loop, mirroring how
-	// DisableStreaming is a per-capability knob.
+	// SCAFFOLD), which need every result of a round at once, silently keep
+	// the synchronous round loop.
 	Enabled bool
 	// StalenessAlpha is the polynomial discount exponent 1/(1+s)^α; 0
 	// disables discounting.

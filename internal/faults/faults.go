@@ -108,8 +108,8 @@ func (m *Model) Enabled() bool {
 // NeedsVirtualTime reports whether the model includes processes that only
 // make sense on a virtual-time event loop (crash and transient failure need
 // timeouts and reissue; churn needs a clock to gate duty cycles against).
-// The synchronous barrier server rejects such models; corruption-only models
-// run on both engines.
+// The synchronous round server (fl.Server) rejects such models;
+// corruption-only models run on both engines.
 func (m *Model) NeedsVirtualTime() bool {
 	return m != nil && (m.CrashP > 0 || m.FlakyP > 0 || m.churning())
 }
@@ -295,7 +295,7 @@ func ParseSpec(spec string, seed uint64) (*Model, error) {
 			m.CrashP = p
 		case "flaky":
 			if len(rawArgs) != 2 {
-				return nil, bad("flaky:P,R with P in (0,1] and integer R >= 1")
+				return nil, bad("flaky:P,R with P in (0,1] and integer R in [1, 2^31)")
 			}
 			p, err := prob(rawArgs[0])
 			if err != nil {
@@ -305,8 +305,9 @@ func ParseSpec(spec string, seed uint64) (*Model, error) {
 			if err != nil {
 				return nil, err
 			}
-			if !(r >= 1 && r == math.Trunc(r)) {
-				return nil, bad("flaky:P,R with P in (0,1] and integer R >= 1")
+			// The upper bound keeps int(r) exact (it also rejects inf).
+			if !(r >= 1 && r <= math.MaxInt32 && r == math.Trunc(r)) {
+				return nil, bad("flaky:P,R with P in (0,1] and integer R in [1, 2^31)")
 			}
 			m.FlakyP = p
 			m.FlakyRetries = int(r)

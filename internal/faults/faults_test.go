@@ -66,6 +66,8 @@ func TestParseSpecErrors(t *testing.T) {
 		{"flaky:0.5", "flaky:P,R"},
 		{"flaky:0.5,0", "flaky:P,R"},
 		{"flaky:0.5,1.5", "flaky:P,R"},
+		{"flaky:0.5,inf", "flaky:P,R"},
+		{"flaky:0.5,1e300", "flaky:P,R"},
 		{"flaky:2,1", "probability in (0,1]"},
 		{"corrupt:0.5", "corrupt:P,MODE"},
 		{"corrupt:0.5,bogus", "unknown corruption mode"},
@@ -204,4 +206,34 @@ func TestChurnDutyCycle(t *testing.T) {
 	if m.phase(0) == m.phase(1) && m.phase(1) == m.phase(2) {
 		t.Errorf("churn phases identical across clients")
 	}
+}
+
+// FuzzParseSpec: hostile fault specs must error, never panic; every accepted
+// model must carry in-range probabilities, retry counts and churn cycle, and
+// round-trip through String.
+func FuzzParseSpec(f *testing.F) {
+	for _, spec := range []string{
+		"", "none", "crash:0.1", "flaky:0.2,2", "corrupt:0.05,nan", "corrupt:0.5,mix", "churn:40,0.6",
+		"crash:0.1+flaky:0.2,2+corrupt:0.05,mix+churn:40,0.6", "crash:1+corrupt:1,blowup", "flaky:0.5,inf",
+	} {
+		f.Add(spec)
+	}
+	prob := func(p float64) bool { return p == 0 || (p > 0 && p <= 1) }
+	f.Fuzz(func(t *testing.T, spec string) {
+		m, err := ParseSpec(spec, 7)
+		if err != nil || m == nil {
+			return
+		}
+		if !prob(m.CrashP) || !prob(m.FlakyP) || !prob(m.CorruptP) ||
+			(m.FlakyP > 0) != (m.FlakyRetries >= 1) || m.FlakyRetries < 0 ||
+			(m.CorruptP > 0) != (m.CorruptMode != None) ||
+			!(m.ChurnPeriod >= 0 && !math.IsInf(m.ChurnPeriod, 0)) || !(m.ChurnOn >= 0 && m.ChurnOn < 1) ||
+			!m.Enabled() {
+			t.Fatalf("ParseSpec(%q) accepted %+v", spec, m)
+		}
+		m2, err := ParseSpec(m.String(), 7)
+		if err != nil || *m2 != *m {
+			t.Fatalf("ParseSpec(%q) = %+v does not round-trip via %q: %+v, %v", spec, m, m.String(), m2, err)
+		}
+	})
 }

@@ -127,12 +127,22 @@ func (a AsyncConfig) validate() error {
 	if a.Buffer > a.Concurrency {
 		return fmt.Errorf("fl: async buffer %d exceeds concurrency %d (a window could never fill)", a.Buffer, a.Concurrency)
 	}
-	if a.Timeout < 0 || a.RetryBackoff < 0 || a.MaxAttempts < 0 || a.MaxStaleness < 0 {
-		return fmt.Errorf("fl: negative async timeout/backoff/attempts/staleness: %g/%g/%d/%d",
+	if !(a.Timeout >= 0) || !(a.RetryBackoff >= 0) || a.MaxAttempts < 0 || a.MaxStaleness < 0 {
+		return fmt.Errorf("fl: negative or NaN async timeout/backoff/attempts/staleness: %g/%g/%d/%d",
 			a.Timeout, a.RetryBackoff, a.MaxAttempts, a.MaxStaleness)
 	}
 	if a.Timeout <= 0 && (a.MaxAttempts > 0 || a.RetryBackoff > 0) {
 		return fmt.Errorf("fl: async attempt cap/backoff configured without a timeout")
+	}
+	switch p := a.Staleness.(type) {
+	case PolynomialStaleness:
+		if !finiteNonNegative(p.Alpha) {
+			return fmt.Errorf("fl: staleness exponent %g must be finite and >= 0", p.Alpha)
+		}
+	case ConstantStaleness:
+		if !finiteNonNegative(p.C) {
+			return fmt.Errorf("fl: constant staleness weight %g must be finite and >= 0", p.C)
+		}
 	}
 	return nil
 }
@@ -245,7 +255,8 @@ type AsyncServer struct {
 	sa      StreamingAggregator
 	acc     WeightedAccumulator
 	clock   simclock.Clock
-	pool    weightsPool
+	// scratch is the replica's snapshot buffer, allocated on the first job.
+	scratch nn.Weights
 	store   nn.VersionStore
 
 	// queue holds drawn-but-undispatched clients in sampling order; qhead
@@ -407,9 +418,10 @@ func (s *AsyncServer) runJob(job asyncJob, discount float64, st *AsyncRoundStats
 		return ClientResult{ClientID: job.client.ID, DeviceIdx: job.client.Device}
 	}
 	global := s.store.Weights(job.version)
-	scratch := s.pool.get(global)
-	defer s.pool.put(scratch)
-	res := localUpdate(s.Strategy, s.net, global, job.client, s.Cfg, s.Loss, job.version, &scratch)
+	if s.scratch.Params == nil {
+		s.scratch = global.Clone()
+	}
+	res := localUpdate(s.Strategy, s.net, global, job.client, s.Cfg, s.Loss, job.version, &s.scratch)
 	if m := s.Cfg.Faults.Corruption(job.client.ID, job.key); m != faults.None {
 		corruptUpdate(m, global, res.Weights)
 	}
@@ -581,3 +593,6 @@ func (s *AsyncServer) GlobalNet() *nn.Network {
 	net.SetIntraOp(intraOpShare(s.Cfg, 1))
 	return net
 }
+
+// finiteNonNegative reports whether v is a finite number >= 0 (NaN fails).
+func finiteNonNegative(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }

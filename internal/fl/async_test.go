@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"math"
 	"testing"
 
 	"heteroswitch/internal/frand"
@@ -250,6 +251,19 @@ func TestNewAsyncServerValidation(t *testing.T) {
 	}
 	if _, err := NewAsyncServer(cfg, builder, loss, FedAvg{}, clients, AsyncConfig{Buffer: -1}); err == nil {
 		t.Fatal("negative buffer must be rejected")
+	}
+	if _, err := NewAsyncServer(cfg, builder, loss, FedAvg{}, clients, AsyncConfig{Timeout: math.NaN()}); err == nil {
+		t.Fatal("NaN timeout must be rejected")
+	}
+	// Staleness discounts must be finite and non-negative.
+	for _, p := range []StalenessPolicy{
+		PolynomialStaleness{Alpha: math.NaN()}, PolynomialStaleness{Alpha: math.Inf(1)},
+		PolynomialStaleness{Alpha: -0.5}, ConstantStaleness{C: math.NaN()},
+		ConstantStaleness{C: math.Inf(1)}, ConstantStaleness{C: -1},
+	} {
+		if _, err := NewAsyncServer(cfg, builder, loss, FedAvg{}, clients, AsyncConfig{Staleness: p}); err == nil {
+			t.Fatalf("staleness policy %s must be rejected", p.Name())
+		}
 	}
 	if _, err := NewAsyncServer(cfg, builder, loss, FedAvg{}, nil, AsyncConfig{}); err == nil {
 		t.Fatal("empty population must be rejected")

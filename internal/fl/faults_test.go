@@ -91,28 +91,28 @@ func gateAsyncServer(t *testing.T, strat Strategy, async AsyncConfig, mutate fun
 	return srv
 }
 
-// The validation-gate contract on the synchronous engine, both aggregation
-// paths: a NaN/Inf/huge-norm delta from one client never perturbs the
-// global weights — bit-identical (tol 0) to a run where that client's
-// update never happened — and lands in Rejected/BytesWasted instead.
+// The validation-gate contract on the synchronous engine, for a streaming
+// fold and for the collecting accumulator: a NaN/Inf/huge-norm delta from
+// one client never perturbs the global weights — bit-identical (tol 0) to a
+// run where that client's update never happened — and lands in
+// Rejected/BytesWasted instead.
 func TestGateRejectsCorruptUpdateSyncEngine(t *testing.T) {
 	const target = 2
 	for _, mode := range []faults.Mode{faults.NaN, faults.Inf, faults.Blowup} {
 		for _, barrier := range []bool{false, true} {
 			name := mode.String()
+			wrap := func(s Strategy) Strategy { return s }
 			if barrier {
 				name += "/barrier"
+				wrap = func(s Strategy) Strategy { return barrierOnly{s} }
 			} else {
 				name += "/streaming"
 			}
 			t.Run(name, func(t *testing.T) {
-				ref := gateServer(t, absentFedAvg{target: target}, func(c *Config) {
-					c.DisableStreaming = barrier
-				})
+				ref := gateServer(t, wrap(absentFedAvg{target: target}), nil)
 				ref.Run(nil)
 
-				srv := gateServer(t, corruptingFedAvg{target: target, mode: mode}, func(c *Config) {
-					c.DisableStreaming = barrier
+				srv := gateServer(t, wrap(corruptingFedAvg{target: target, mode: mode}), func(c *Config) {
 					c.MaxDeltaNorm = 50
 				})
 				sampledTarget, rejected := 0, 0

@@ -44,11 +44,6 @@ type Config struct {
 	// report back this round (device offline, battery, network) — the
 	// partial-participation regime of production FL. 0 disables dropout.
 	ClientDropout float64
-	// DisableStreaming forces the legacy barrier aggregation (materialize
-	// all K client snapshots, then Strategy.Aggregate) even when the
-	// strategy implements StreamingAggregator. Used for A/B memory
-	// comparisons and debugging; leave false in production runs.
-	DisableStreaming bool
 	// Faults injects seeded client failures (see internal/faults). nil
 	// injects nothing and is the bit-identical pre-fault behavior. The
 	// synchronous Server accepts corruption-only models; crash, transient
@@ -131,15 +126,15 @@ type ClientContext struct {
 	RNG    *frand.RNG // deterministic per (client, round)
 	// Scratch, when non-nil, points at a per-worker weight buffer the
 	// strategy may return from LocalUpdate instead of allocating a fresh
-	// snapshot (via SnapshotWeights). The server only sets it on the
-	// streaming path, where each result is folded into the shard
-	// accumulator before the buffer is reused for the next client.
+	// snapshot (via SnapshotWeights). Both servers set it: each result is
+	// folded into an accumulator (which must not retain the buffer) before
+	// the buffer is reused for the next client.
 	Scratch *nn.Weights
 }
 
 // SnapshotWeights returns the network's post-training weights: written into
-// the per-worker scratch buffer when the server is streaming (the result is
-// folded immediately, so the buffer can be recycled), or a fresh snapshot
+// the per-worker scratch buffer when one is set (the result is folded
+// immediately, so the buffer can be recycled), or a fresh snapshot
 // otherwise. Strategies should prefer this over Net.Snapshot for the
 // weights they return. A scratch buffer that no longer matches the network
 // is an invariant violation, reported the same way as an incompatible
@@ -167,16 +162,17 @@ type ClientResult struct {
 // Strategy couples a client-side local update rule with a server-side
 // aggregation rule. Strategies whose rule is a streamable fold should also
 // implement StreamingAggregator; the server then never materializes all K
-// client snapshots and Aggregate serves only as the barrier fallback.
+// client snapshots and bypasses Aggregate. For the others, the synchronous
+// server collects each round's admitted results and passes them to
+// Aggregate.
 type Strategy interface {
 	Name() string
 	// LocalUpdate trains ctx.Net (which holds the global weights) on the
 	// client's data and returns the updated weights plus losses.
 	LocalUpdate(ctx *ClientContext) ClientResult
 	// Aggregate merges the round's client results into new global weights.
-	// results arrive in sampling order. On the streaming path the server
-	// bypasses Aggregate in favor of the strategy's Accumulators; results
-	// then carry empty Weights.
+	// results arrive in sampling order, each carrying its own copy of the
+	// client weights; gate-rejected results are left out.
 	Aggregate(global nn.Weights, results []ClientResult, cfg Config) nn.Weights
 }
 

@@ -24,18 +24,22 @@ type Server struct {
 	rng     *frand.RNG
 	// worker-owned network replicas, one per worker
 	nets []*nn.Network
-	// pool recycles per-worker snapshot scratch buffers on the streaming
-	// path; it holds at most len(nets) buffers at rest.
-	pool weightsPool
+	// scratch holds one snapshot buffer per worker replica, allocated on
+	// the worker's first client and reused for the server's lifetime.
+	scratch []nn.Weights
+	// agg folds client results: the strategy itself when it implements
+	// StreamingAggregator, otherwise a collector around its Aggregate.
+	agg StreamingAggregator
 	// accs holds one shard accumulator per worker, reused across rounds
 	// when the strategy's accumulators are resettable (so the model-sized
 	// float64 sum buffers are allocated once per worker, not per round).
 	accs []Accumulator
-	// spare double-buffers the streaming path's outgoing global weights:
-	// Finalize writes each round's new global into the weight set retired
-	// two rounds ago instead of allocating a model-sized nn.Weights per
-	// round. Safe because nothing retains a global weight set across rounds
-	// — checkpoints serialize immediately and GlobalNet/replicas copy.
+	// spare double-buffers the outgoing global weights of accumulators that
+	// implement IntoFinalizer: FinalizeInto writes each round's new global
+	// into the weight set retired two rounds ago instead of allocating a
+	// model-sized nn.Weights per round. Safe because nothing retains a
+	// global weight set across rounds — checkpoints serialize immediately
+	// and GlobalNet/replicas copy.
 	spare nn.Weights
 }
 
@@ -63,6 +67,10 @@ func NewServer(cfg Config, builder Builder, loss nn.Loss, strategy Strategy, cli
 		nets[i] = builder()
 		nets[i].SetIntraOp(share)
 	}
+	agg, ok := strategy.(StreamingAggregator)
+	if !ok {
+		agg = collector{strategy}
+	}
 	return &Server{
 		Cfg:      cfg,
 		Strategy: strategy,
@@ -72,6 +80,9 @@ func NewServer(cfg Config, builder Builder, loss nn.Loss, strategy Strategy, cli
 		builder:  builder,
 		rng:      frand.New(cfg.Seed ^ 0x5ca1ab1e),
 		nets:     nets,
+		scratch:  make([]nn.Weights, workers),
+		agg:      agg,
+		accs:     make([]Accumulator, workers),
 	}, nil
 }
 
@@ -146,16 +157,14 @@ func localUpdate(strategy Strategy, net *nn.Network, global nn.Weights, client *
 
 // RunRound executes one communication round and returns its stats.
 //
-// When the strategy implements StreamingAggregator (and streaming is not
-// disabled), each worker folds its clients' results into a private shard
-// accumulator as they finish — reusing one pooled snapshot buffer per
-// worker — and the shards are merged tree-style at round end. Peak weight
-// memory is then O(workers) instead of O(K). On this path clients are
-// assigned to workers in contiguous index blocks, not via a dynamic queue,
-// so shard contents (and thus the fold order) are deterministic across
-// runs. The barrier fallback keeps the original dynamic work queue:
-// aggregation there happens in client order on the main goroutine, so
-// scheduling cannot affect results and load balancing is free.
+// Clients are assigned to workers in contiguous index blocks. Each worker
+// trains its block on its own replica, snapshots every result into its own
+// scratch buffer, and folds the admitted ones into a private shard
+// accumulator as they finish; the shards are merged tree-style at round end.
+// For streaming strategies peak weight memory is then O(workers) instead of
+// O(K); strategies without a streaming fold collect their results and
+// aggregate them in sampling order. Either way the shard contents, and thus
+// the fold order, are fixed by the config, not by scheduling.
 func (s *Server) RunRound(round int) RoundStats {
 	sampled := s.SampleClients()
 	var dropped []int
@@ -174,97 +183,45 @@ func (s *Server) RunRound(round int) RoundStats {
 		// Everyone dropped: the round is lost; global model unchanged.
 		return RoundStats{Round: round, Dropped: dropped}
 	}
+	workers := min(len(s.nets), len(sampled))
+	// Reuse one accumulator per worker across rounds (resetting when the
+	// strategy supports it), selected on the main goroutine so the shard
+	// state lives in exactly one place.
+	for w := 0; w < workers; w++ {
+		if ra, ok := s.accs[w].(ResettableAccumulator); ok {
+			ra.Reset(s.Global, s.Cfg)
+		} else {
+			s.accs[w] = s.agg.NewAccumulator(s.Global, s.Cfg)
+		}
+	}
 	results := make([]ClientResult, len(sampled))
-
-	workers := len(s.nets)
-	if workers > len(sampled) {
-		workers = len(sampled)
-	}
-	sa, streaming := s.Strategy.(StreamingAggregator)
-	streaming = streaming && !s.Cfg.DisableStreaming
-
-	runClient := func(net *nn.Network, i int, scratch *nn.Weights) ClientResult {
-		return localUpdate(s.Strategy, net, s.Global, sampled[i], s.Cfg, s.Loss, round, scratch)
-	}
 	// rejected[i] marks a result the validation gate kept out of aggregation;
 	// workers write disjoint indices, stats are collected in client order.
 	rejected := make([]bool, len(sampled))
-
 	var wg sync.WaitGroup
-	if streaming {
-		// Reuse one accumulator per worker across rounds (resetting when the
-		// strategy supports it), selected on the main goroutine so the shard
-		// state lives in exactly one place.
-		if s.accs == nil {
-			s.accs = make([]Accumulator, len(s.nets))
-		}
-		for w := 0; w < workers; w++ {
-			if ra, ok := s.accs[w].(ResettableAccumulator); ok {
-				ra.Reset(s.Global, s.Cfg)
-			} else {
-				s.accs[w] = sa.NewAccumulator(s.Global, s.Cfg)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w, lo, hi int) {
+			defer wg.Done()
+			if s.scratch[w].Params == nil {
+				s.scratch[w] = s.Global.Clone()
 			}
-		}
-		for w := 0; w < workers; w++ {
-			lo := w * len(sampled) / workers
-			hi := (w + 1) * len(sampled) / workers
-			wg.Add(1)
-			go func(acc Accumulator, lo, hi int, net *nn.Network) {
-				defer wg.Done()
-				scratch := s.pool.get(s.Global)
-				defer s.pool.put(scratch)
-				for i := lo; i < hi; i++ {
-					res := runClient(net, i, &scratch)
-					if s.admitUpdate(&res, round) {
-						acc.Accumulate(res)
-					} else {
-						rejected[i] = true
-					}
-					// The weights may alias the scratch buffer and have
-					// been folded already; keep only the scalar stats.
-					res.Weights = Weights{}
-					results[i] = res
+			for i := lo; i < hi; i++ {
+				res := localUpdate(s.Strategy, s.nets[w], s.Global, sampled[i], s.Cfg, s.Loss, round, &s.scratch[w])
+				if s.admitUpdate(&res, round) {
+					s.accs[w].Accumulate(res)
+				} else {
+					rejected[i] = true
 				}
-			}(s.accs[w], lo, hi, s.nets[w])
-		}
-		wg.Wait()
-		s.Global = s.finalizeRound(mergeShards(s.accs[:workers]))
-	} else {
-		jobs := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(net *nn.Network) {
-				defer wg.Done()
-				for i := range jobs {
-					results[i] = runClient(net, i, nil)
-				}
-			}(s.nets[w])
-		}
-		for i := range sampled {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-		agg := results
-		nrej := 0
-		for i := range results {
-			if !s.admitUpdate(&results[i], round) {
-				rejected[i] = true
-				nrej++
+				// The weights may alias the scratch buffer and have been
+				// folded already; keep only the scalar stats.
+				res.Weights = Weights{}
+				results[i] = res
 			}
-		}
-		if nrej > 0 {
-			agg = make([]ClientResult, 0, len(results)-nrej)
-			for i, r := range results {
-				if !rejected[i] {
-					agg = append(agg, r)
-				}
-			}
-		}
-		if len(agg) > 0 {
-			s.Global = s.Strategy.Aggregate(s.Global, agg, s.Cfg)
-		}
+		}(w, w*len(sampled)/workers, (w+1)*len(sampled)/workers)
 	}
+	wg.Wait()
+	s.Global = s.finalizeRound(mergeShards(s.accs[:workers]))
 
 	stats := RoundStats{Round: round, Dropped: dropped}
 	wb := weightBytes(s.Global)
@@ -293,7 +250,7 @@ func (s *Server) RunRound(round int) RoundStats {
 // finalizeRound turns the round's merged root accumulator into the new
 // global weights. When the accumulator supports IntoFinalizer, the new
 // global is written into the server's spare weight buffer — the set retired
-// as global two rounds ago — so the steady state of the streaming path
+// as global two rounds ago — so the steady state of a streaming strategy
 // allocates no model-sized weights at all. The previous global (still
 // referenced by this round's results until now) becomes the next spare.
 // Rounds that aggregated nothing (total dropout) keep the global and the

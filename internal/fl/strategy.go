@@ -194,7 +194,7 @@ func (s *Scaffold) LocalUpdate(ctx *ClientContext) ClientResult {
 		steps++
 	}
 	trainLoss := TrainLocal(ctx.Net, ctx.Client.Data, ctx.Cfg, ctx.Loss, ctx.RNG, hook, nil)
-	w := ctx.Net.Snapshot()
+	w := ctx.SnapshotWeights()
 
 	if steps > 0 {
 		// c_k_new = c_k - c + (w_global - w_local)/(S·η)

@@ -1,10 +1,6 @@
 package fl
 
-import (
-	"sync"
-
-	"heteroswitch/internal/nn"
-)
+import "heteroswitch/internal/nn"
 
 // StreamingAggregator is an optional Strategy capability: strategies whose
 // aggregation rule folds one client result at a time (FedAvg and friends)
@@ -14,8 +10,10 @@ import (
 // tree-style at round end. Peak weight memory is then O(workers), not O(K).
 //
 // Strategies that genuinely need every result at once (q-FedAvg's normalized
-// step) simply don't implement this interface and keep the legacy
-// Strategy.Aggregate path.
+// step, SCAFFOLD's control-variate update) don't implement this interface:
+// the synchronous server folds them through a collecting accumulator that
+// hands the round's results to Strategy.Aggregate, and the asynchronous
+// server rejects them.
 type StreamingAggregator interface {
 	// NewAccumulator returns a fresh shard accumulator for one round. It is
 	// called once per worker; the returned accumulator is used from that
@@ -77,8 +75,7 @@ type ResettableAccumulator interface {
 // shard-merge order (which depends on the worker count) perturbs the result
 // by at most double-precision rounding — in practice below float32
 // resolution. Combined with the server's static client→worker assignment,
-// runs with a fixed config are bit-reproducible, matching what the barrier
-// path guaranteed by aggregating in client order on one goroutine.
+// runs with a fixed config are bit-reproducible.
 type fedAvgAccumulator struct {
 	global nn.Weights
 	params [][]float64 // Σ n_k · w_k per param tensor
@@ -117,7 +114,7 @@ func (a *fedAvgAccumulator) Accumulate(r ClientResult) {
 // scale·n_k, so the async server's staleness discount composes with FedAvg's
 // sample weighting. scale = 1 is byte-for-byte the synchronous fold.
 func (a *fedAvgAccumulator) AccumulateWeighted(r ClientResult, scale float64) {
-	// Fail as loudly as the barrier path's weightedAverage would: a short
+	// Fail as loudly as Aggregate's weightedAverage would: a short
 	// result would otherwise grow total without touching the sums, silently
 	// shrinking the aggregate toward zero.
 	if len(r.Weights.Params) != len(a.params) || len(r.Weights.States) != len(a.states) {
@@ -245,31 +242,45 @@ func mergeShards(accs []Accumulator) Accumulator {
 	return accs[0]
 }
 
-// weightsPool recycles weight-snapshot buffers across rounds so the
-// streaming path's per-worker scratch costs one allocation per worker for
-// the server's lifetime, not one per client per round.
-type weightsPool struct {
-	mu   sync.Mutex
-	free []nn.Weights
+// collector is the synchronous server's StreamingAggregator for strategies
+// without a streaming fold: its accumulators keep every admitted result and
+// Finalize hands them to the strategy's own Aggregate. It is not attached
+// to the strategies themselves, so they stay barrier-only everywhere else
+// (the asynchronous server still rejects them).
+type collector struct{ strategy Strategy }
+
+// NewAccumulator implements StreamingAggregator.
+func (c collector) NewAccumulator(global nn.Weights, cfg Config) Accumulator {
+	return &collectingAccumulator{strategy: c.strategy, global: global, cfg: cfg}
 }
 
-// get returns a pooled buffer shaped like the reference weights, allocating
-// only when the pool is empty.
-func (p *weightsPool) get(like nn.Weights) nn.Weights {
-	p.mu.Lock()
-	if n := len(p.free); n > 0 {
-		w := p.free[n-1]
-		p.free = p.free[:n-1]
-		p.mu.Unlock()
-		return w
+// collectingAccumulator materializes its shard's results in fold order.
+// Workers train contiguous client blocks and mergeShards always merges the
+// right shard into the left, so the root holds the round's admitted results
+// in sampling order — exactly what Strategy.Aggregate expects.
+type collectingAccumulator struct {
+	strategy Strategy
+	global   nn.Weights
+	cfg      Config
+	results  []ClientResult
+}
+
+// Accumulate implements Accumulator. The weights are cloned: they may alias
+// the worker's scratch buffer, which the next client overwrites.
+func (a *collectingAccumulator) Accumulate(r ClientResult) {
+	r.Weights = r.Weights.Clone()
+	a.results = append(a.results, r)
+}
+
+// Merge implements Accumulator: other's results follow a's.
+func (a *collectingAccumulator) Merge(other Accumulator) {
+	a.results = append(a.results, other.(*collectingAccumulator).results...)
+}
+
+// Finalize implements Accumulator.
+func (a *collectingAccumulator) Finalize() nn.Weights {
+	if len(a.results) == 0 {
+		return a.global
 	}
-	p.mu.Unlock()
-	return like.Clone()
-}
-
-// put returns a buffer to the pool.
-func (p *weightsPool) put(w nn.Weights) {
-	p.mu.Lock()
-	p.free = append(p.free, w)
-	p.mu.Unlock()
+	return a.strategy.Aggregate(a.global, a.results, a.cfg)
 }

@@ -1,6 +1,8 @@
 package fl
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -99,12 +101,17 @@ func TestStreamingShardInvariance(t *testing.T) {
 	}
 }
 
-// End-to-end: a streaming server run matches a barrier (DisableStreaming)
-// run of the same config within float32 tolerance, with parallel workers.
+// barrierOnly hides the wrapped strategy's StreamingAggregator (the
+// embedded interface exposes only Strategy's methods), so the server folds
+// it through the collecting accumulator and its own Aggregate — the
+// reference the streaming fold is checked against.
+type barrierOnly struct{ Strategy }
+
+// End-to-end: a streaming server run matches a collect-then-Aggregate run of
+// the same config within float32 tolerance, with parallel workers.
 func TestStreamingServerMatchesBarrier(t *testing.T) {
 	stream := fixtureServer(t, FedAvg{}, 4)
-	barrier := fixtureServer(t, FedAvg{}, 4)
-	barrier.Cfg.DisableStreaming = true
+	barrier := fixtureServer(t, barrierOnly{FedAvg{}}, 4)
 	stream.Run(nil)
 	barrier.Run(nil)
 	for i := range stream.Global.Params {
@@ -148,7 +155,8 @@ func TestEmptyAccumulatorFinalizesToGlobal(t *testing.T) {
 }
 
 // FedProx shares FedAvg's fold; both must expose the streaming capability,
-// while result-hungry strategies must not (they keep the barrier fallback).
+// while result-hungry strategies must not (the synchronous server collects
+// their results for Aggregate, and the asynchronous server rejects them).
 func TestStreamingCapabilityMatrix(t *testing.T) {
 	for _, s := range []Strategy{FedAvg{}, &FedProx{Mu: 0.1}} {
 		if _, ok := s.(StreamingAggregator); !ok {
@@ -163,7 +171,8 @@ func TestStreamingCapabilityMatrix(t *testing.T) {
 }
 
 // Race coverage: parallel workers with dropout exercise the shard-merge
-// path, the scratch-buffer pool, and per-worker accumulators concurrently.
+// path, the per-worker scratch buffers, and per-worker accumulators
+// concurrently.
 // Run with -race in CI.
 func TestRunRoundParallelDropoutRace(t *testing.T) {
 	srv := fixtureServer(t, FedAvg{}, 4)
@@ -183,19 +192,45 @@ func TestRunRoundParallelDropoutRace(t *testing.T) {
 	}
 }
 
-// The scratch pool must hand back distinct buffers while in use and recycle
-// returned ones.
-func TestWeightsPoolRecycles(t *testing.T) {
-	like := nn.Weights{Params: []*tensor.Tensor{tensor.Full(1, 8)}}
-	var p weightsPool
-	a := p.get(like)
-	b := p.get(like)
-	if &a.Params[0].Data()[0] == &b.Params[0].Data()[0] {
-		t.Fatal("pool handed out the same buffer twice while both are live")
-	}
-	p.put(a)
-	c := p.get(like)
-	if &a.Params[0].Data()[0] != &c.Params[0].Data()[0] {
-		t.Fatal("pool did not recycle the returned buffer")
+// Strategies without a streaming fold run on the same shard loop through
+// the collecting accumulator: contiguous client blocks merged left to right
+// hand Aggregate the admitted results in sampling order, so the worker
+// count cannot change a bit — of the globals or of the round stats — and
+// every run equals Aggregate over results collected serially.
+func TestBarrierStrategiesWorkerInvariant(t *testing.T) {
+	const rounds = 4
+	for _, mk := range []func() Strategy{
+		func() Strategy { return &QFedAvg{Q: 1e-6} },
+		func() Strategy { return &Scaffold{} },
+	} {
+		t.Run(mk().Name(), func(t *testing.T) {
+			run := func(workers int) (nn.Weights, []RoundStats) {
+				srv := fixtureServer(t, mk(), workers)
+				var stats []RoundStats
+				for r := 0; r < rounds; r++ {
+					stats = append(stats, srv.RunRound(r))
+				}
+				return srv.Global, stats
+			}
+			g1, st1 := run(1)
+			g3, st3 := run(3)
+			requireBitIdentical(t, g1, g3, "workers 1 vs 3")
+			if !reflect.DeepEqual(st1, st3) {
+				t.Fatalf("round stats differ between workers 1 and 3:\n%+v\n%+v", st1, st3)
+			}
+
+			// Reference: train the sampled clients one after another on one
+			// replica, then Aggregate their results.
+			strat := mk()
+			ref := fixtureServer(t, strat, 1)
+			for r := 0; r < rounds; r++ {
+				var results []ClientResult
+				for _, c := range ref.SampleClients() {
+					results = append(results, localUpdate(strat, ref.nets[0], ref.Global, c, ref.Cfg, ref.Loss, r, nil))
+				}
+				ref.Global = strat.Aggregate(ref.Global, results, ref.Cfg)
+			}
+			requireBitIdentical(t, ref.Global, g1, fmt.Sprintf("serial Aggregate vs server (%d rounds)", rounds))
+		})
 	}
 }

@@ -15,8 +15,7 @@ import (
 
 // Accuracy returns the single-label classification accuracy of net on ds,
 // evaluated with the given batch size through one frozen inference replica
-// (nn.EvalView: BN folded, activations fused; the reference forward when
-// fused eval is disabled). Batches recycle through the pooled
+// (nn.EvalView: BN folded, activations fused). Batches recycle through the pooled
 // dataset.BatchScratch, so sweeps over many devices or degrees allocate no
 // per-batch buffers.
 func Accuracy(net *nn.Network, ds *dataset.Dataset, batch int) float64 {

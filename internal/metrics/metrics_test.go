@@ -204,21 +204,48 @@ func makeConvEvalFixture() (*nn.Network, *dataset.Dataset) {
 	return net, ds
 }
 
-// TestFusedEvalMatchesReference: every metrics entry point must return
-// identical decisions (accuracy, per-device accuracy) and near-identical
-// losses whether it routes through the frozen fast path or the reference
-// forward — the -fused-eval A/B contract.
+// referenceAccuracy and referenceLoss evaluate ds through net's unfused
+// layer-by-layer eval forward (net.Infer), batched like the metrics entry
+// points.
+func referenceAccuracy(net *nn.Network, ds *dataset.Dataset, batch int) float64 {
+	correct := 0
+	for lo := 0; lo < ds.Len(); lo += batch {
+		x, labels := ds.Batch(lo, min(lo+batch, ds.Len()))
+		for i, p := range net.Infer(x).ArgMaxRows() {
+			if p == labels[i] {
+				correct++
+			}
+		}
+	}
+	return float64(correct) / float64(ds.Len())
+}
+
+func referenceLoss(net *nn.Network, ds *dataset.Dataset, batch int) float64 {
+	var total float64
+	for lo := 0; lo < ds.Len(); lo += batch {
+		hi := min(lo+batch, ds.Len())
+		x, labels := ds.Batch(lo, hi)
+		l, _ := nn.SoftmaxCrossEntropy{}.Eval(net.Infer(x), nn.ClassTarget(labels))
+		total += l * float64(hi-lo)
+	}
+	return total / float64(ds.Len())
+}
+
+// TestFusedEvalMatchesReference: every metrics entry point, which routes
+// through the frozen fast path, must return identical decisions (accuracy,
+// per-device accuracy) and near-identical losses to the reference forward.
 func TestFusedEvalMatchesReference(t *testing.T) {
 	net, ds := makeConvEvalFixture()
 	fusedAcc := Accuracy(net, ds, 7)
 	fusedPer := PerDeviceAccuracy(net, ds, 7)
 	fusedLoss := MeanLoss(net, nn.SoftmaxCrossEntropy{}, ds, 7)
 
-	nn.SetFusedEval(false)
-	defer nn.SetFusedEval(true)
-	refAcc := Accuracy(net, ds, 7)
-	refPer := PerDeviceAccuracy(net, ds, 7)
-	refLoss := MeanLoss(net, nn.SoftmaxCrossEntropy{}, ds, 7)
+	refAcc := referenceAccuracy(net, ds, 7)
+	refPer := map[int]float64{}
+	for dev, sub := range ds.ByDevice() {
+		refPer[dev] = referenceAccuracy(net, sub, 7)
+	}
+	refLoss := referenceLoss(net, ds, 7)
 
 	if fusedAcc != refAcc {
 		t.Fatalf("fused accuracy %v != reference %v (argmax must be identical)", fusedAcc, refAcc)

@@ -380,17 +380,12 @@ func TestFrozenConcurrentReplicas(t *testing.T) {
 	}
 }
 
-// TestEvalViewToggle checks the -fused-eval routing contract.
-func TestEvalViewToggle(t *testing.T) {
+// TestEvalViewFrozen: evaluation always routes through the frozen view.
+func TestEvalViewFrozen(t *testing.T) {
 	r := frand.New(5)
 	net := nn.NewNetwork(nn.NewFlatten(), nn.NewDense(r, 3*8*8, 4))
 	if _, ok := nn.EvalView(net).(*nn.Frozen); !ok {
-		t.Fatal("fused eval should be the default")
-	}
-	nn.SetFusedEval(false)
-	defer nn.SetFusedEval(true)
-	if _, ok := nn.EvalView(net).(*nn.Network); !ok {
-		t.Fatal("SetFusedEval(false) must route EvalView to the reference network")
+		t.Fatal("EvalView must return the frozen view")
 	}
 }
 

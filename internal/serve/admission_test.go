@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -156,4 +157,22 @@ func TestAdmissionOpenLoopOverload(t *testing.T) {
 	if again := mustLoad(t, cfg, lc); again != r {
 		t.Fatalf("combined admission run not reproducible:\n%+v\nvs\n%+v", again, r)
 	}
+}
+
+// FuzzParseAdmission: hostile admission specs must error, never panic, and
+// every accepted config must have a non-negative depth and a finite,
+// non-negative deadline.
+func FuzzParseAdmission(f *testing.F) {
+	for _, spec := range []string{"", "off", "64,12", "8,0", "0,2.5", "1,nan", "1,inf"} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		a, err := ParseAdmission(spec)
+		if err != nil {
+			return
+		}
+		if a.Depth < 0 || !(a.Deadline >= 0) || math.IsInf(a.Deadline, 0) {
+			t.Fatalf("ParseAdmission(%q) accepted %+v", spec, a)
+		}
+	})
 }

@@ -101,6 +101,9 @@ func ParseArrival(spec string, seed uint64) (ArrivalModel, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: arrival spec %q: %v", spec, err)
 	}
+	if math.IsNaN(arg) || math.IsInf(arg, 0) {
+		return nil, fmt.Errorf("serve: arrival spec %q: non-finite argument", spec)
+	}
 	switch name {
 	case "closed", "":
 		if arg < 0 {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -422,9 +423,34 @@ func TestParseArrival(t *testing.T) {
 	if ol, ok := m.(OpenLoop); !ok || ol.Rate != 12 || m.Closed() {
 		t.Fatalf("open:12 parsed to %#v", m)
 	}
-	for _, bad := range []string{"open:0", "open:-1", "closed:-2", "uniform:1", "open:x"} {
+	for _, bad := range []string{"open:0", "open:-1", "closed:-2", "uniform:1", "open:x",
+		"closed:nan", "closed:inf", "open:nan", "open:inf", "open:+Inf"} {
 		if _, err := ParseArrival(bad, 1); err == nil {
 			t.Fatalf("spec %q parsed without error", bad)
 		}
 	}
+}
+
+// FuzzParseArrival: hostile arrival specs must error, never panic, and every
+// accepted model must carry a finite, in-range parameter and the given seed.
+func FuzzParseArrival(f *testing.F) {
+	for _, spec := range []string{"", "closed:0.5", "open:12", "closed:0", "open:nan", "closed:inf"} {
+		f.Add(spec, uint64(3))
+	}
+	f.Fuzz(func(t *testing.T, spec string, seed uint64) {
+		m, err := ParseArrival(spec, seed)
+		if err != nil {
+			return
+		}
+		ok := false
+		switch m := m.(type) {
+		case ClosedLoop:
+			ok = m.Think >= 0 && !math.IsInf(m.Think, 0) && m.Seed == seed
+		case OpenLoop:
+			ok = m.Rate > 0 && !math.IsInf(m.Rate, 0) && m.Seed == seed
+		}
+		if !ok {
+			t.Fatalf("ParseArrival(%q) accepted %#v", spec, m)
+		}
+	})
 }

@@ -2,6 +2,7 @@ package simclock
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -102,6 +103,9 @@ func ParseModel(spec string, seed uint64) (LatencyModel, error) {
 			v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 			if err != nil {
 				return nil, fmt.Errorf("simclock: latency spec %q: %v", spec, err)
+			}
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("simclock: latency spec %q: non-finite argument %q", spec, s)
 			}
 			args = append(args, v)
 		}

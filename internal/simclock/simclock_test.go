@@ -246,9 +246,50 @@ func TestParseModel(t *testing.T) {
 		}
 	}
 	for _, spec := range []string{"nope", "const:", "const:-1", "uniform:2,1", "uniform:1",
-		"straggler:1,2,3", "straggler:1,2,2,8", "straggler:1,2,0.1,0.5", "const:abc", "zero:1"} {
+		"straggler:1,2,3", "straggler:1,2,2,8", "straggler:1,2,0.1,0.5", "const:abc", "zero:1",
+		"const:nan", "const:inf", "uniform:0,inf", "uniform:nan,1", "straggler:0.5,2,0.1,inf",
+		"straggler:0.5,2,nan,8"} {
 		if _, err := ParseModel(spec, 1); err == nil {
 			t.Errorf("ParseModel(%q) accepted a bad spec", spec)
 		}
 	}
+}
+
+// finite reports whether every value is a finite number.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzParseModel: hostile latency specs must error, never panic, and every
+// accepted model must carry finite, in-range fields and the given seed.
+func FuzzParseModel(f *testing.F) {
+	for _, spec := range []string{"", "zero", "const:2.5", "uniform:0.5,2", "straggler:0.5,2,0.1,8", "const:nan", "uniform:0,inf"} {
+		f.Add(spec, uint64(42))
+	}
+	f.Fuzz(func(t *testing.T, spec string, seed uint64) {
+		m, err := ParseModel(spec, seed)
+		if err != nil {
+			return
+		}
+		ok := true
+		switch m := m.(type) {
+		case Constant:
+			ok = finite(m.D) && m.D >= 0
+		case Uniform:
+			ok = finite(m.Lo, m.Hi) && 0 <= m.Lo && m.Lo <= m.Hi && m.Seed == seed
+		case StragglerTail:
+			ok = finite(m.Lo, m.Hi, m.TailProb, m.TailFactor) && 0 <= m.Lo && m.Lo <= m.Hi &&
+				0 <= m.TailProb && m.TailProb <= 1 && m.TailFactor >= 1 && m.Seed == seed
+		default:
+			ok = false
+		}
+		if !ok {
+			t.Fatalf("ParseModel(%q) accepted %#v", spec, m)
+		}
+	})
 }

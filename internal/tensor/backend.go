@@ -70,7 +70,7 @@ func ParseBackend(s string) (Backend, error) {
 
 // activeBackend is the process-wide selection; the zero value is
 // BackendSerial. Reads sit on the matmul hot path, so it is a lock-free
-// atomic like the fused-eval toggle.
+// atomic.
 var activeBackend atomic.Uint32
 
 // SetBackend selects the kernel backend for every subsequent

@@ -52,7 +52,7 @@
 // tensors. Layers draw their outputs, input gradients, and scratch tensors
 // from it, and the network resets the arena at the top of each Forward; the
 // im2col-lowered convolution kernels and the register-tiled matmuls
-// (tensor.MatMul*, 4-wide column unrolling, bit-identical op order per
+// (tensor.Gemm, 4-wide column unrolling, bit-identical op order per
 // accumulation target) run on those recycled buffers, so the steady state of
 // fl.TrainLocal performs no heap allocation at all (BenchmarkTrainLocal:
 // ≥99% fewer allocs/op than per-batch allocation).
@@ -91,8 +91,8 @@
 //
 //   - Client-level: the fl server trains W client replicas concurrently
 //     (fl.Config.Workers), one network + arena per worker goroutine.
-//   - Intra-op: within one replica, the tensor kernels (tensor.MatMul*P)
-//     and the Conv2D sample×group loops split their output rows across a
+//   - Intra-op: within one replica, the tensor kernels (tensor.Gemm,
+//     tensor.Col2Im) and the Conv2D sample×group loops split their output rows across a
 //     persistent worker pool (internal/parallel), under an explicit core
 //     budget granted via nn.Network.SetIntraOp.
 //
@@ -219,19 +219,18 @@
 // (internal/tensor/backend.go), and every tensor entry point belongs to one
 // of two numerics tiers:
 //
-//   - ORACLE tier — every float entry point (tensor.MatMul, MatMulSlices,
-//     the *P row-parallel forms, the transpose variants, and the fused
-//     epilogue entries MatMulSlicesPEp/MatMulAccSlicesPEp). These run the
-//     register-tiled serial/parallel kernels with their exact per-target
-//     float-op order under every backend and are bit-identical at every
-//     intra-op budget. Every tol-0 contract in the repo — training
+//   - ORACLE tier — the one float matmul entry point, tensor.Gemm (each
+//     transpose form, overwrite or accumulate, with an optional fused row
+//     epilogue), and the column-blocked scatter tensor.Col2Im. These run the
+//     register-tiled kernels with their exact per-target float-op order
+//     under every backend and are bit-identical at every intra-op budget. Every tol-0 contract in the repo — training
 //     bit-reproducibility across budgets and worker counts, async
 //     equivalence, gradient checks — rides on this tier, and so does the
 //     default frozen forward.
 //   - TOLERANCE tier — the weight-stationary fused entries the frozen path
 //     compiles to (MatMulWBSlicesPEp for dense, MatMulWASlicesPEp for conv).
 //     They dispatch on the active backend: BackendSerial (the default, the
-//     zero value) runs the oracle kernels on the caller's float weights;
+//     zero value) runs Gemm on the caller's float weights;
 //     BackendInt8 runs the quantized kernel described below.
 //
 // Backend selection is process-wide: tensor.SetBackend /
@@ -258,8 +257,8 @@
 // The numeric promise is tensor.Int8Tol (5e-2 relative, unit-floored)
 // against the oracle with identical argmax; TestInt8MatchesOracle and the CI
 // int8 matrix lane enforce it suite-wide. Fused calls that carry no weight
-// handle (the raw-slice MatMulSlicesPEp/MatMulAccSlicesPEp) stay on the
-// oracle kernels under int8.
+// handle (a direct Gemm with an epilogue) stay on the oracle kernels under
+// int8.
 //
 // Weights are stationary: tensor.PackedWeights holds a weight version's
 // int8 form (lane-packed panels or biased rows, per-channel scales and

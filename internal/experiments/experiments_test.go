@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -46,6 +47,11 @@ func TestRegistryNames(t *testing.T) {
 	}
 	if _, err := Run("nope", tinyOpts(0.1)); err == nil {
 		t.Fatal("unknown experiment should error")
+	}
+	for _, scale := range []float64{math.NaN(), 0, -1, math.Inf(1)} {
+		if _, err := Run("table4", tinyOpts(scale)); err == nil {
+			t.Errorf("scale %v should error", scale)
+		}
 	}
 }
 

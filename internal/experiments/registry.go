@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"heteroswitch/internal/tensor"
@@ -54,6 +55,9 @@ func Run(name string, opts Options) (fmt.Stringer, error) {
 	r, ok := registry[name]
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", name, Names())
+	}
+	if !(opts.Scale > 0) || math.IsInf(opts.Scale, 1) {
+		return nil, fmt.Errorf("experiments: scale %v must be finite and > 0", opts.Scale)
 	}
 	// An empty KernelBackend inherits the process-wide selection (flag
 	// default or HETEROSWITCH_KERNEL_BACKEND) instead of resetting to serial.

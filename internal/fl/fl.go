@@ -78,8 +78,8 @@ func (c Config) Validate() error {
 	if c.Rounds <= 0 || c.ClientsPerRound <= 0 || c.BatchSize <= 0 || c.LocalEpochs <= 0 {
 		return fmt.Errorf("fl: non-positive round/client/batch/epoch config: %+v", c)
 	}
-	if c.LR <= 0 {
-		return fmt.Errorf("fl: non-positive learning rate %v", c.LR)
+	if !(c.LR > 0) || math.IsInf(c.LR, 1) {
+		return fmt.Errorf("fl: learning rate %v must be finite and > 0", c.LR)
 	}
 	if c.ClientDropout < 0 || c.ClientDropout >= 1 {
 		return fmt.Errorf("fl: client dropout %v outside [0,1)", c.ClientDropout)

@@ -92,6 +92,12 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("zero LR should fail")
 	}
+	for _, lr := range []float64{-0.1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad.LR = lr
+		if err := bad.Validate(); err == nil {
+			t.Errorf("LR %v should fail", lr)
+		}
+	}
 	bad = good
 	bad.BatchSize = 0
 	if err := bad.Validate(); err == nil {

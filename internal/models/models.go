@@ -37,9 +37,12 @@ const (
 )
 
 // BuilderFor returns a deterministic Builder for the named architecture on
-// inC-channel images with the given number of classes. Unknown names return
-// an error.
+// inC-channel images with the given number of classes. Unknown names, and
+// inC or classes below 1, return an error.
 func BuilderFor(arch Arch, seed uint64, inC, classes int) (Builder, error) {
+	if inC < 1 || classes < 1 {
+		return nil, fmt.Errorf("models: %s needs inC and classes >= 1, have %d and %d", arch, inC, classes)
+	}
 	switch arch {
 	case ArchMobileNet:
 		return func() *nn.Network { return TinyMobileNetV3(frand.New(seed), inC, classes) }, nil

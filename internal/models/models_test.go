@@ -98,6 +98,11 @@ func TestBuilderUnknownArch(t *testing.T) {
 	if _, err := BuilderFor("no-such-net", 1, 3, 12); err == nil {
 		t.Fatal("expected error for unknown architecture")
 	}
+	for _, dims := range [][2]int{{3, 0}, {3, -1}, {0, 12}, {-2, 12}} {
+		if _, err := BuilderFor(ArchSimpleCNN, 1, dims[0], dims[1]); err == nil {
+			t.Errorf("BuilderFor(inC=%d, classes=%d) should error", dims[0], dims[1])
+		}
+	}
 }
 
 func TestWeightsTransferAcrossBuilds(t *testing.T) {

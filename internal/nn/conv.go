@@ -131,7 +131,7 @@ func (l *Conv2D) forwardIter(it, par int, xd, od []float32) {
 	// y[gcOut, cols] = Wg[gcOut, fanIn] @ col[fanIn, cols]
 	wg := wd[gi*gcOut*fanIn : (gi+1)*gcOut*fanIn]
 	y := od[i*outStride+gi*gcOut*cols : i*outStride+(gi+1)*gcOut*cols]
-	tensor.MatMulSlicesP(par, y, wg, col, gcOut, fanIn, cols)
+	tensor.Gemm(par, tensor.NoTrans, false, y, wg, col, gcOut, fanIn, cols, nil)
 	for oc := 0; oc < gcOut; oc++ {
 		b := bd[gi*gcOut+oc]
 		row := y[oc*cols : (oc+1)*cols]
@@ -225,8 +225,8 @@ func (l *Conv2D) backwardRows(gd []float32, lo, hi int) {
 			dy := gd[i*outStride+gi*gcOut*cols : i*outStride+(gi+1)*gcOut*cols]
 			col := l.cols[(i*g+gi)*rows*cols : (i*g+gi+1)*rows*cols]
 			// dWg rows [o0, o0+segRows) += dy rows @ colᵀ, in place.
-			tensor.MatMulTransBAccSlices(dwg[o0*fanIn:(o0+segRows)*fanIn],
-				dy[o0*cols:(o0+segRows)*cols], col, segRows, cols, fanIn)
+			tensor.Gemm(1, tensor.TransB, true, dwg[o0*fanIn:(o0+segRows)*fanIn],
+				dy[o0*cols:(o0+segRows)*cols], col, segRows, cols, fanIn, nil)
 			// db += Σ spatial dy for the same rows
 			for r := o0; r < o0+segRows; r++ {
 				var s float32
@@ -243,7 +243,7 @@ func (l *Conv2D) backwardRows(gd []float32, lo, hi int) {
 
 // backwardIter computes one sample×group input-gradient iteration:
 // dcol = Wgᵀ @ dy (row-parallel under par), scattered back to dx via the
-// column-blocked Col2ImP (parallel over disjoint image columns under the
+// column-blocked Col2Im (parallel over disjoint image columns under the
 // same budget — the single-iteration case where par > 1). The transposed-A
 // kernel reads Wg in place instead of materializing Wgᵀ.
 func (l *Conv2D) backwardIter(it, par int, dcol, gd, dxd []float32) {
@@ -261,10 +261,9 @@ func (l *Conv2D) backwardIter(it, par int, dcol, gd, dxd []float32) {
 
 	dy := gd[i*outStride+gi*gcOut*cols : i*outStride+(gi+1)*gcOut*cols]
 	wg := wd[gi*gcOut*fanIn : (gi+1)*gcOut*fanIn]
-	clear(dcol)
-	tensor.MatMulTransAAccSlicesP(par, dcol, wg, dy, gcOut, fanIn, cols)
+	tensor.Gemm(par, tensor.TransA, false, dcol, wg, dy, fanIn, gcOut, cols, nil)
 	dimg := dxd[i*imgStride+gi*gcIn*h*w : i*imgStride+(gi+1)*gcIn*h*w]
-	tensor.Col2ImP(par, dimg, dcol, d)
+	tensor.Col2Im(par, dimg, dcol, d)
 }
 
 // convRowTask is the parallel.Runner for the weight/bias gradient rows.

@@ -35,7 +35,7 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	d.x = x
 	y := d.allocUninit(x.Dim(0), d.Out)
-	tensor.MatMulIntoP(d.budget(), y, x, d.W.W)
+	tensor.Gemm(d.budget(), tensor.NoTrans, false, y.Data(), x.Data(), d.W.W.Data(), x.Dim(0), d.In, d.Out, nil)
 	n, out := y.Dim(0), d.Out
 	yd, bd := y.Data(), d.B.W.Data()
 	for i := 0; i < n; i++ {
@@ -49,8 +49,12 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward accumulates dW = xᵀ @ dy, db = Σ dy, and returns dx = dy @ Wᵀ.
 func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	tensor.MatMulTransAAccIntoP(d.budget(), d.W.Grad, d.x, grad) // Grad += xᵀ @ dy, no temporary
-	n, out := grad.Dim(0), d.Out
+	n, out := d.x.Dim(0), d.Out
+	if grad.NDim() != 2 || grad.Dim(0) != n || grad.Dim(1) != out {
+		panic(fmt.Sprintf("nn: Dense grad shape %v, want [%d %d]", grad.Shape(), n, out))
+	}
+	// Grad += xᵀ @ dy, no temporary
+	tensor.Gemm(d.budget(), tensor.TransA, true, d.W.Grad.Data(), d.x.Data(), grad.Data(), d.In, n, out, nil)
 	gd, bg := grad.Data(), d.B.Grad.Data()
 	for i := 0; i < n; i++ {
 		row := gd[i*out : (i+1)*out]
@@ -59,7 +63,7 @@ func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		}
 	}
 	dx := d.allocUninit(n, d.In)
-	tensor.MatMulTransBIntoP(d.budget(), dx, grad, d.W.W)
+	tensor.Gemm(d.budget(), tensor.TransB, false, dx.Data(), gd, d.W.W.Data(), n, out, d.In, nil)
 	return dx
 }
 

@@ -308,7 +308,7 @@ func TestFrozenBudgetsBitIdentical(t *testing.T) {
 
 // TestFrozenSingleSampleUsesKernelBudget covers the iters==1 route where the
 // whole budget is handed to the fused row-parallel matmul and the
-// column-blocked Col2ImP geometry inside conv backward stays untouched.
+// column-blocked Col2Im geometry inside conv backward stays untouched.
 func TestFrozenSingleSampleUsesKernelBudget(t *testing.T) {
 	r := frand.New(7)
 	net := nn.NewNetwork(

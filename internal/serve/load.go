@@ -176,6 +176,9 @@ func (s *Server) beginLoad(lc LoadConfig) error {
 	if len(lc.Inputs) == 0 {
 		return fmt.Errorf("serve: load needs a non-empty input bank")
 	}
+	if m, ok := lc.Service.(AffineService); ok && !(finiteNonNeg(m.Base) && finiteNonNeg(m.PerItem)) {
+		return fmt.Errorf("serve: service model %+v needs finite, non-negative Base and PerItem", m)
+	}
 	ld := &s.ld
 	*ld = loadState{lc: lc, srv: s}
 	ld.events = make(map[int]simEvent)

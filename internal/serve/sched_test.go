@@ -223,3 +223,27 @@ func TestFlushEDFShedsFewerUnderChurn(t *testing.T) {
 		t.Fatal("report lost the admission line")
 	}
 }
+
+// FuzzParseFlush: hostile flush specs must error, never panic; every
+// accepted policy is one of the two known policies, passes Config
+// validation, and round-trips through its CLI spelling.
+func FuzzParseFlush(f *testing.F) {
+	for _, spec := range []string{"", "fifo", "edf", " EDF ", "deadline", "lifo", "fifo\x00"} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParseFlush(spec)
+		if err != nil {
+			return
+		}
+		if p != FlushFIFO && p != FlushEDF {
+			t.Fatalf("ParseFlush(%q) accepted unknown policy %d", spec, p)
+		}
+		if err := (Config{Flush: p}).withDefaults().validate(); err != nil {
+			t.Fatalf("ParseFlush(%q) = %v fails validation: %v", spec, p, err)
+		}
+		if back, err := ParseFlush(p.String()); err != nil || back != p {
+			t.Fatalf("ParseFlush(%q) = %v does not round-trip: %v, %v", spec, p, back, err)
+		}
+	})
+}

@@ -136,8 +136,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("serve: non-positive max-batch/workers/intraop: %d/%d/%d",
 			c.MaxBatch, c.Workers, c.IntraOp)
 	}
-	if c.BatchBudget < 0 {
-		return fmt.Errorf("serve: negative batch budget %g", c.BatchBudget)
+	if c.BatchBudget < 0 || math.IsNaN(c.BatchBudget) {
+		return fmt.Errorf("serve: invalid batch budget %g", c.BatchBudget)
 	}
 	if c.Admission.Depth < 0 || c.Admission.Deadline < 0 ||
 		math.IsNaN(c.Admission.Deadline) {

@@ -454,3 +454,33 @@ func FuzzParseArrival(f *testing.F) {
 		}
 	})
 }
+
+// TestInvalidConfigRejected: a NaN batch budget and a negative or
+// non-finite affine service cost are configuration errors, not a NaN
+// latency report or a scheduler panic.
+func TestInvalidConfigRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, bb := range []float64{-1, nan} {
+		if _, err := NewServer(testBuilder(), testWeights(t), Config{BatchBudget: bb}); err == nil {
+			t.Errorf("NewServer accepted batch budget %v", bb)
+		}
+	}
+	s := testServer(t, Config{MaxBatch: 2, Workers: 1, IntraOp: 1})
+	for _, svc := range []AffineService{
+		{Base: nan, PerItem: 0.25}, {Base: -5, PerItem: 0.25}, {Base: inf, PerItem: 0.25},
+		{Base: 1, PerItem: nan}, {Base: 1, PerItem: -1}, {Base: 1, PerItem: inf},
+	} {
+		lc := LoadConfig{Requests: 10, Concurrency: 2, Inputs: testInputs(2), Service: svc}
+		if _, err := s.RunLoad(lc); err == nil {
+			t.Errorf("RunLoad accepted service model %+v", svc)
+		}
+		if err := s.BeginTrainLoad(lc); err == nil {
+			t.Errorf("BeginTrainLoad accepted service model %+v", svc)
+		}
+	}
+	// The rejected loads left nothing behind: a valid one still runs.
+	lc := LoadConfig{Requests: 10, Concurrency: 2, Inputs: testInputs(2), Service: AffineService{Base: 0, PerItem: 0.5}}
+	if rep, err := s.RunLoad(lc); err != nil || rep.Requests != 10 {
+		t.Fatalf("valid load after rejections: %+v, %v", rep.Requests, err)
+	}
+}

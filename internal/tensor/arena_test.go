@@ -143,10 +143,10 @@ func TestTiledMatMulMatchesReference(t *testing.T) {
 	for _, sz := range kernelSizes {
 		a := Randn(r, 1, sz.m, sz.k)
 		b := Randn(r, 1, sz.k, sz.n)
-		got := MatMul(a, b)
+		got := matMul(a, b)
 		want := refMatMul(a, b)
 		if !got.AllClose(want, 1e-5) {
-			t.Fatalf("MatMul %dx%dx%d diverged from reference", sz.m, sz.k, sz.n)
+			t.Fatalf("Gemm %dx%dx%d diverged from reference", sz.m, sz.k, sz.n)
 		}
 	}
 }
@@ -160,15 +160,15 @@ func TestMatMulTransBVariants(t *testing.T) {
 
 		into := New(sz.m, sz.n)
 		into.Fill(7) // must be fully overwritten
-		MatMulTransBIntoP(1, into, a, b)
+		Gemm(1, TransB, false, into.Data(), a.Data(), b.Data(), sz.m, sz.k, sz.n, nil)
 		if !into.AllClose(want, 1e-5) {
-			t.Fatalf("MatMulTransBIntoP %v diverged", sz)
+			t.Fatalf("Gemm TransB %v diverged", sz)
 		}
 		acc := Randn(r, 1, sz.m, sz.n)
 		wantAcc := acc.Add(want)
-		MatMulTransBAccSlices(acc.Data(), a.Data(), b.Data(), sz.m, sz.k, sz.n)
+		Gemm(1, TransB, true, acc.Data(), a.Data(), b.Data(), sz.m, sz.k, sz.n, nil)
 		if !acc.AllClose(wantAcc, 1e-4) {
-			t.Fatalf("MatMulTransBAccSlices %v diverged", sz)
+			t.Fatalf("Gemm TransB acc %v diverged", sz)
 		}
 	}
 }
@@ -180,46 +180,51 @@ func TestMatMulTransAAccMatchesReference(t *testing.T) {
 		b := Randn(r, 1, sz.k, sz.n)
 		want := refMatMulTransA(a, b)
 		got := New(sz.m, sz.n)
-		MatMulTransAAccInto(got, a, b)
+		Gemm(1, TransA, true, got.Data(), a.Data(), b.Data(), sz.m, sz.k, sz.n, nil)
 		if !got.AllClose(want, 1e-5) {
-			t.Fatalf("MatMulTransAAccInto %v diverged", sz)
+			t.Fatalf("Gemm TransA acc %v diverged", sz)
 		}
 		// Accumulation: a second pass must exactly double the result.
-		MatMulTransAAccInto(got, a, b)
+		Gemm(1, TransA, true, got.Data(), a.Data(), b.Data(), sz.m, sz.k, sz.n, nil)
 		if !got.AllClose(want.Scaled(2), 1e-4) {
-			t.Fatalf("MatMulTransAAccInto %v did not accumulate", sz)
+			t.Fatalf("Gemm TransA acc %v did not accumulate", sz)
 		}
 	}
 }
 
-// The slice-level entry points (used by grouped convolution on sub-slices)
-// must agree with the tensor-level ones.
+// Gemm on sub-slices of larger buffers (how grouped convolution calls it)
+// reads and writes only the leading m·k, k·n and m·n elements.
 func TestMatMulSliceEntryPoints(t *testing.T) {
 	r := frand.New(109)
 	a := Randn(r, 1, 5, 7)
 	b := Randn(r, 1, 7, 6)
-	out := make([]float32, 5*6)
-	for i := range out {
-		out[i] = 3 // MatMulSlices must overwrite
-	}
-	MatMulSlices(out, a.Data(), b.Data(), 5, 7, 6)
-	want := refMatMul(a, b)
-	if !FromSlice(out, 5, 6).AllClose(want, 1e-5) {
-		t.Fatal("MatMulSlices diverged")
-	}
-
 	bt := Randn(r, 1, 6, 7)
-	accT := New(5, 6)
-	MatMulTransBAccSlices(accT.Data(), a.Data(), bt.Data(), 5, 7, 6)
-	if !accT.AllClose(refMatMulTransB(a, bt), 1e-5) {
-		t.Fatal("MatMulTransBAccSlices diverged")
-	}
-
 	at := Randn(r, 1, 7, 5)
-	accA := New(5, 6)
-	MatMulTransAAccSlices(accA.Data(), at.Data(), b.Data(), 7, 5, 6)
-	if !accA.AllClose(refMatMulTransA(at, b), 1e-5) {
-		t.Fatal("MatMulTransAAccSlices diverged")
+	// Operands carry a trailing junk tail that must be ignored.
+	pad := func(x *Tensor) []float32 { return append(append([]float32(nil), x.Data()...), 1e9, -1e9) }
+	for _, tc := range []struct {
+		name string
+		tr   Trans
+		a, b []float32
+		want *Tensor
+	}{
+		{"NoTrans", NoTrans, pad(a), pad(b), refMatMul(a, b)},
+		{"TransB", TransB, pad(a), pad(bt), refMatMulTransB(a, bt)},
+		{"TransA", TransA, pad(at), pad(b), refMatMulTransA(at, b)},
+	} {
+		out := make([]float32, 5*6+3)
+		for i := range out {
+			out[i] = 3 // the first 5·6 must be overwritten
+		}
+		Gemm(1, tc.tr, false, out, tc.a, tc.b, 5, 7, 6, nil)
+		if !FromSlice(out[:5*6], 5, 6).AllClose(tc.want, 1e-5) {
+			t.Fatalf("Gemm %s diverged", tc.name)
+		}
+		for i, v := range out[5*6:] {
+			if v != 3 {
+				t.Fatalf("Gemm %s wrote past m·n: out[%d] = %v", tc.name, 5*6+i, v)
+			}
+		}
 	}
 }
 
@@ -239,25 +244,25 @@ func BenchmarkMatMul(b *testing.B) {
 		b.Run(name("Into"), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				MatMulInto(out, a, bb)
+				Gemm(1, NoTrans, false, out.Data(), a.Data(), bb.Data(), sz.m, sz.k, sz.n, nil)
 			}
 		})
 		b.Run(name("TransBInto"), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				MatMulTransBIntoP(1, out, a, bt)
+				Gemm(1, TransB, false, out.Data(), a.Data(), bt.Data(), sz.m, sz.k, sz.n, nil)
 			}
 		})
 		b.Run(name("TransAAccInto"), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				MatMulTransAAccInto(out, at, bb)
+				Gemm(1, TransA, true, out.Data(), at.Data(), bb.Data(), sz.m, sz.k, sz.n, nil)
 			}
 		})
 		b.Run(name("TransBAccInto"), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				MatMulTransBAccSlices(out.Data(), a.Data(), bt.Data(), sz.m, sz.k, sz.n)
+				Gemm(1, TransB, true, out.Data(), a.Data(), bt.Data(), sz.m, sz.k, sz.n, nil)
 			}
 		})
 	}

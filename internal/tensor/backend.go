@@ -10,12 +10,11 @@ import (
 //
 // The matmul entry points are split into two numerics tiers:
 //
-//   - The ORACLE tier: every float kernel (MatMul*, MatMulTransB*,
-//     MatMulTransAAcc*, their *P row-parallel forms, and the
-//     epilogue-fused MatMulSlicesPEp/MatMulAccSlicesPEp). These run the
-//     serial/parallel register-tiled kernels with a strict per-target
-//     ascending-k accumulation order and are bit-exact at every intra-op
-//     budget. The tol-0 training and aggregation reproducibility contracts
+//   - The ORACLE tier: Gemm, the one float matmul entry point (every
+//     transpose form, overwrite or accumulate, with an optional fused row
+//     epilogue). It runs the serial/parallel register-tiled kernels with a
+//     strict per-target ascending-k accumulation order, ignores the backend,
+//     and is bit-exact at every intra-op budget. The tol-0 training and aggregation reproducibility contracts
 //     stand on them, and so does the frozen path's float forward.
 //
 //   - The TOLERANCE tier: the weight-stationary fused entry points the
@@ -26,8 +25,8 @@ import (
 //     weight version at nn.Freeze time. Its documented bound is Int8Tol,
 //     looser than the float forward's 1e-5, so int8 is strictly opt-in via
 //     SetBackend/-kernel-backend/the environment variable. Under
-//     BackendSerial, and for every fused call that carries no weight
-//     handle, they run the oracle kernels.
+//     BackendSerial, and whenever the handle lacks its int8 form, they run
+//     Gemm on the caller's float weights.
 
 // Backend selects the kernel implementation behind the weight-stationary
 // fused matmul entry points.
@@ -42,7 +41,7 @@ const (
 	// int8-quantized integer microkernel: weights quantized per output
 	// channel once per version, activations per call, int32 accumulation,
 	// float32 dequantizing epilogue. Fused calls WITHOUT a weight handle
-	// (raw-slice fused entries) stay on the oracle kernels.
+	// (direct Gemm calls) stay on the oracle kernels.
 	BackendInt8
 )
 

@@ -1,16 +1,14 @@
 package tensor
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
 	"heteroswitch/internal/frand"
 )
 
-// The backend contract (backend.go): the float fused entries run the oracle
-// kernels under every backend, bit-identical to the unfused kernels plus a
-// separate epilogue pass at every budget, and the flag surface accepts only
+// The backend contract (backend.go): Gemm ignores the backend (the table in
+// matmul_par_test.go runs it under both), and the flag surface accepts only
 // the two backends.
 
 // forceBackend pins the process-wide backend for one test and restores the
@@ -57,41 +55,6 @@ func fanInScaled(r *frand.RNG, k, n int) *Tensor {
 	return Randn(r, 1/math.Sqrt(float64(k)), k, n)
 }
 
-// TestSerialBackendBitIdentical: the fused entries — plain and accumulating
-// — are bit-identical to the oracle kernels plus a separate epilogue pass,
-// at every budget and under every backend (int8 only reroutes calls that
-// carry a weight handle).
-func TestSerialBackendBitIdentical(t *testing.T) {
-	r := frand.New(93)
-	for _, be := range []Backend{BackendSerial, BackendInt8} {
-		forceBackend(t, be)
-		for _, sz := range packedShapes {
-			a := Randn(r, 1, sz.m, sz.k)
-			b := Randn(r, 1, sz.k, sz.n)
-			base := Randn(r, 1, sz.m, sz.n)
-			bias := Randn(r, 1, sz.m)
-			ep := &testEpilogue{bias: bias.Data()}
-			want := make([]float32, sz.m*sz.n)
-			MatMulSlices(want, a.Data(), b.Data(), sz.m, sz.k, sz.n)
-			wantAcc := append([]float32(nil), base.Data()...)
-			matmulAcc(wantAcc, a.Data(), b.Data(), sz.m, sz.k, sz.n)
-			for i := 0; i < sz.m; i++ {
-				ep.Apply(want[i*sz.n:(i+1)*sz.n], i)
-				ep.Apply(wantAcc[i*sz.n:(i+1)*sz.n], i)
-			}
-			for _, par := range packedBudgets {
-				name := fmt.Sprintf("backend=%s par=%d %dx%dx%d", be, par, sz.m, sz.k, sz.n)
-				got := make([]float32, sz.m*sz.n)
-				MatMulSlicesPEp(par, got, a.Data(), b.Data(), sz.m, sz.k, sz.n, ep)
-				exactEqual(t, "MatMulSlicesPEp "+name, got, want)
-				copy(got, base.Data())
-				MatMulAccSlicesPEp(par, got, a.Data(), b.Data(), sz.m, sz.k, sz.n, ep)
-				exactEqual(t, "MatMulAccSlicesPEp "+name, got, wantAcc)
-			}
-		}
-	}
-}
-
 // TestBackendParse pins the flag surface: the two backends round-trip, and
 // the removed "auto" and "packed" values are unknown like any other.
 func TestBackendParse(t *testing.T) {
@@ -116,4 +79,25 @@ func TestBackendParse(t *testing.T) {
 			t.Fatalf("ParseBackend(%s) did not error", in)
 		}
 	}
+}
+
+// FuzzParseBackend: hostile backend names must error, never panic; every
+// accepted backend is one of the two known backends and round-trips through
+// its String spelling.
+func FuzzParseBackend(f *testing.F) {
+	for _, in := range []string{"", "serial", "int8", "auto", "packed", "INT8", "int8\x00"} {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		b, err := ParseBackend(in)
+		if err != nil {
+			return
+		}
+		if b != BackendSerial && b != BackendInt8 {
+			t.Fatalf("ParseBackend(%q) accepted unknown backend %d", in, b)
+		}
+		if back, err := ParseBackend(b.String()); err != nil || back != b {
+			t.Fatalf("ParseBackend(%q) = %v does not round-trip: %v, %v", in, b, back, err)
+		}
+	})
 }

@@ -114,13 +114,27 @@ func TestPanicsOnBadShapes(t *testing.T) {
 	}
 }
 
+// TestMatMulShapePanics: Gemm panics when any operand is shorter than its
+// m·k, k·n or m·n extent, for every Trans and budget.
 func TestMatMulShapePanics(t *testing.T) {
-	a := New(2, 3)
-	b := New(4, 5)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for inner dim mismatch")
+	const m, k, n = 2, 3, 5
+	for _, tr := range []Trans{NoTrans, TransA, TransB} {
+		for _, par := range []int{1, 4} {
+			for name, lens := range map[string][3]int{
+				"out": {m*n - 1, m * k, k * n},
+				"a":   {m * n, m*k - 1, k * n},
+				"b":   {m * n, m * k, k*n - 1},
+			} {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("trans=%d par=%d: short %s did not panic", tr, par, name)
+						}
+					}()
+					Gemm(par, tr, false, make([]float32, lens[0]), make([]float32, lens[1]),
+						make([]float32, lens[2]), m, k, n, nil)
+				}()
+			}
 		}
-	}()
-	MatMul(a, b)
+	}
 }

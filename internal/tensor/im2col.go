@@ -144,7 +144,7 @@ func col2imCols(img, col []float32, d ConvDims, xlo, xhi int) {
 // Per output pixel the taps still accumulate in ascending (ky, kx) order —
 // the same per-target order as the im2col matmul, whose skipped
 // zero-padding and zero-weight products are exact no-ops — so the result is
-// bit-identical to Im2Col + MatMulSlices on the same plane. The inference
+// bit-identical to Im2Col + Gemm on the same plane. The inference
 // fast path uses it for depthwise convolutions, where the im2col copy costs
 // more than the arithmetic.
 func DepthwiseConvPlane(y, img, w []float32, d ConvDims) {
@@ -198,7 +198,7 @@ func DepthwiseConvPlane(y, img, w []float32, d ConvDims) {
 	}
 }
 
-// col2imTask is the pooled parallel.Runner behind Col2ImP.
+// col2imTask is the pooled parallel.Runner behind Col2Im's parallel path.
 type col2imTask struct {
 	img, col []float32
 	d        ConvDims
@@ -209,36 +209,30 @@ var col2imTaskPool = sync.Pool{New: func() any { return new(col2imTask) }}
 // Run implements parallel.Runner over a range of image columns.
 func (t *col2imTask) Run(_, lo, hi int) { col2imCols(t.img, t.col, t.d, lo, hi) }
 
-// Col2ImP is Col2Im with the scatter parallelized over blocks of image
-// columns under the given intra-op budget: each chunk owns a disjoint set of
-// output pixels (all rows and channels of its column range), so chunks never
-// write the same element and results are bit-identical to the serial scatter
-// at every budget. Budget 1 — or a geometry too small for the grain — runs
-// the serial kernel.
-func Col2ImP(par int, img, col []float32, d ConvDims) {
-	if par <= 1 || d.InW <= 1 {
-		Col2Im(img, col, d)
-		return
-	}
-	// Per-column work: the whole scatter costs about InC·KH·KW·OutH·OutW
-	// adds, spread over the InW columns.
-	perCol := d.InC * d.KH * d.KW * d.OutH * d.OutW / d.InW
-	grain := parallel.GrainFor(perCol)
-	if parallel.Chunks(par, d.InW, grain) <= 1 {
-		Col2Im(img, col, d)
-		return
-	}
-	t := col2imTaskPool.Get().(*col2imTask)
-	t.img, t.col, t.d = img, col, d
-	parallel.Run(par, d.InW, grain, t)
-	t.img, t.col = nil, nil
-	col2imTaskPool.Put(t)
-}
-
 // Col2Im scatters the column matrix back into an image, accumulating
 // overlapping contributions. It is the adjoint of Im2Col and is used to
 // compute input gradients of convolution. img is NOT zeroed first.
-func Col2Im(img, col []float32, d ConvDims) {
+//
+// Under an intra-op budget par > 1 the scatter is parallelized over blocks
+// of image columns: each chunk owns a disjoint set of output pixels (all
+// rows and channels of its column range), so chunks never write the same
+// element and results are bit-identical to the serial scatter at every
+// budget. Budget 1 — or a geometry too small for the grain — runs the
+// serial loop below.
+func Col2Im(par int, img, col []float32, d ConvDims) {
+	if par > 1 && d.InW > 1 {
+		// Per-column work: the whole scatter costs about InC·KH·KW·OutH·OutW
+		// adds, spread over the InW columns.
+		perCol := d.InC * d.KH * d.KW * d.OutH * d.OutW / d.InW
+		if grain := parallel.GrainFor(perCol); parallel.Chunks(par, d.InW, grain) > 1 {
+			t := col2imTaskPool.Get().(*col2imTask)
+			t.img, t.col, t.d = img, col, d
+			parallel.Run(par, d.InW, grain, t)
+			t.img, t.col = nil, nil
+			col2imTaskPool.Put(t)
+			return
+		}
+	}
 	cols := d.ColCols()
 	row := 0
 	for c := 0; c < d.InC; c++ {

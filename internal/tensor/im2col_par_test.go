@@ -7,7 +7,7 @@ import (
 	"heteroswitch/internal/frand"
 )
 
-// Col2ImP promises BIT-identical results to the serial scatter at every
+// Col2Im promises BIT-identical results to the serial scatter at every
 // budget: image-column blocks own disjoint output pixels, and restricting
 // the (c, ky, kx, oy, ox) sweep to a column range never reorders the adds
 // into any one pixel. Geometries cover stride 1/2, pad 0/1/2, kernels 1-5,
@@ -35,11 +35,11 @@ func TestCol2ImPBitIdentical(t *testing.T) {
 		col := Randn(r, 1, d.ColRows(), d.ColCols())
 		base := Randn(r, 1, g.inC, g.inH, g.inW) // non-zero: Col2Im accumulates
 		want := base.Clone()
-		Col2Im(want.Data(), col.Data(), d)
+		Col2Im(1, want.Data(), col.Data(), d)
 		for _, par := range []int{1, 2, 3, 4, 8} {
 			got := base.Clone()
-			Col2ImP(par, got.Data(), col.Data(), d)
-			name := fmt.Sprintf("Col2ImP(%d) c%d %dx%d k%d s%d p%d",
+			Col2Im(par, got.Data(), col.Data(), d)
+			name := fmt.Sprintf("Col2Im(%d) c%d %dx%d k%d s%d p%d",
 				par, g.inC, g.inH, g.inW, g.k, g.stride, g.pad)
 			exactEqual(t, name, got.Data(), want.Data())
 		}
@@ -58,7 +58,7 @@ func TestCol2ImColsCoverage(t *testing.T) {
 		}
 		col := Randn(r, 1, d.ColRows(), d.ColCols())
 		want := New(g.inC, g.inH, g.inW)
-		Col2Im(want.Data(), col.Data(), d)
+		Col2Im(1, want.Data(), col.Data(), d)
 		for _, splits := range [][]int{{0, g.inW}, {0, 1, g.inW}, {0, g.inW / 2, g.inW - 1, g.inW}} {
 			got := New(g.inC, g.inH, g.inW)
 			for i := 0; i+1 < len(splits); i++ {
@@ -67,31 +67,6 @@ func TestCol2ImColsCoverage(t *testing.T) {
 				}
 			}
 			exactEqual(t, fmt.Sprintf("col2imCols splits %v c%d w%d", splits, g.inC, g.inW),
-				got.Data(), want.Data())
-		}
-	}
-}
-
-// TestMatMulEpilogueBitIdentical: the fused epilogue runs row-locally inside
-// each chunk, so a fused kernel must equal the unfused kernel followed by
-// the same per-row pass, bit for bit, at every budget. The fused entries
-// run the oracle kernels under every backend (backend_test.go sweeps both).
-func TestMatMulEpilogueBitIdentical(t *testing.T) {
-	r := frand.New(79)
-	for _, sz := range parShapes {
-		a := Randn(r, 1, sz.m, sz.k)
-		b := Randn(r, 1, sz.k, sz.n)
-		bias := Randn(r, 1, sz.m)
-		ep := &testEpilogue{bias: bias.Data()}
-		want := New(sz.m, sz.n)
-		MatMulInto(want, a, b)
-		for i := 0; i < sz.m; i++ {
-			ep.Apply(want.Data()[i*sz.n:(i+1)*sz.n], i)
-		}
-		for _, par := range parBudgets {
-			got := Randn(r, 1, sz.m, sz.n)
-			MatMulSlicesPEp(par, got.Data(), a.Data(), b.Data(), sz.m, sz.k, sz.n, ep)
-			exactEqual(t, fmt.Sprintf("MatMulSlicesPEp(%d) %dx%dx%d", par, sz.m, sz.k, sz.n),
 				got.Data(), want.Data())
 		}
 	}
@@ -128,7 +103,7 @@ func BenchmarkCol2ImParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("intraop=%d", par), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				Col2ImP(par, img.Data(), col.Data(), d)
+				Col2Im(par, img.Data(), col.Data(), d)
 			}
 		})
 	}

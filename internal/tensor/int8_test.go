@@ -82,7 +82,7 @@ func TestInt8MatchesOracle(t *testing.T) {
 		ep := &testEpilogue{bias: Randn(r, 1, n).Data()}
 
 		forceBackend(t, BackendSerial)
-		MatMulSlicesPEp(1, want, a.Data(), w.Data(), m, k, n, ep)
+		Gemm(1, NoTrans, false, want, a.Data(), w.Data(), m, k, n, ep)
 
 		forceBackend(t, BackendInt8)
 		pwB := refreshB(w, k, n)
@@ -126,7 +126,7 @@ func TestInt8MatchesOracle(t *testing.T) {
 		seed := Randn(r, 1, m, n)
 		copy(want, seed.Data())
 		forceBackend(t, BackendSerial)
-		MatMulAccSlicesPEp(1, want, a.Data(), w.Data(), m, k, n, nil)
+		Gemm(1, NoTrans, true, want, a.Data(), w.Data(), m, k, n, nil)
 		forceBackend(t, BackendInt8)
 		copy(got, seed.Data())
 		MatMulWBSlicesPEp(1, got, a.Data(), w.Data(), pwB, m, true, nil)
@@ -204,7 +204,7 @@ func TestInt8GroupRowOffset(t *testing.T) {
 
 // TestWeightStationaryFallbacks: a handle refreshed under one backend must
 // stay CORRECT under every other — a missing form falls back to the oracle
-// kernels on the caller's weights, bit-identical to the raw-slice entries.
+// kernels on the caller's weights, bit-identical to Gemm.
 func TestWeightStationaryFallbacks(t *testing.T) {
 	r := frand.New(149)
 	const m, k, n = 6, 20, 11
@@ -221,7 +221,7 @@ func TestWeightStationaryFallbacks(t *testing.T) {
 	for _, be := range []Backend{BackendSerial, BackendInt8} {
 		forceBackend(t, be)
 		clear(want)
-		MatMulSlicesPEp(2, want, a.Data(), w.Data(), m, k, n, nil)
+		Gemm(2, NoTrans, false, want, a.Data(), w.Data(), m, k, n, nil)
 		clear(got)
 		MatMulWBSlicesPEp(2, got, a.Data(), w.Data(), pwB, m, false, nil)
 		for i := range got {

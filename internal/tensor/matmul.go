@@ -18,48 +18,45 @@ const mmBlock = 64
 // flight at once, never the order of adds into one target, so results are
 // bit-identical to the straightforward loops and independent of tiling.
 //
-// The *P variants additionally split the output rows (the M dimension, or
-// the transposed-A result's row dimension) into parallel.Chunks-fixed
-// contiguous blocks, one goroutine per block. Every output element is still
-// computed entirely by one goroutine running the serial inner loops, so the
+// Gemm additionally splits the output rows (the M dimension, or the
+// transposed-A result's row dimension) into parallel.Chunks-fixed contiguous
+// blocks, one goroutine per block. Every output element is still computed
+// entirely by one goroutine running the serial inner loops, so the
 // per-target operation order — and therefore the result — is bit-identical
 // to the serial kernels at every budget. Budget 1 (or a matrix too small
 // for its grain) takes the serial code path byte-for-byte.
 
-// MatMul returns a @ b for 2-D tensors a[m,k] and b[k,n] as a new [m,n]
-// tensor.
-func MatMul(a, b *Tensor) *Tensor {
-	if len(a.shape) != 2 || len(b.shape) != 2 {
-		panic(fmt.Sprintf("tensor: MatMul needs 2-D tensors, have %v @ %v", a.shape, b.shape))
-	}
-	m, k := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul inner dims %d != %d", k, k2))
-	}
-	out := New(m, n)
-	MatMulInto(out, a, b)
-	return out
-}
+// Trans selects which operand of Gemm is stored transposed.
+type Trans uint8
 
-// MatMulInto computes out = a @ b, overwriting out. out must be [m,n].
-func MatMulInto(out, a, b *Tensor) {
-	m, k := a.shape[0], a.shape[1]
-	n := b.shape[1]
-	if out.shape[0] != m || out.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulInto out shape %v, want [%d %d]", out.shape, m, n))
-	}
-	MatMulSlices(out.data, a.data, b.data, m, k, n)
-}
+const (
+	NoTrans Trans = iota // a[m,k] @ b[k,n]
+	TransA               // a stored [k,m]: aᵀ @ b
+	TransB               // b stored [n,k]: a @ bᵀ
+)
 
-// MatMulSlices computes out = a @ b on raw row-major slices: out[m,n],
-// a[m,k], b[k,n]. It is the header-free entry point used by layers that
-// multiply sub-slices of larger buffers (e.g. grouped convolution) on the
-// per-batch hot path, where wrapping every operand in a Tensor would
-// allocate.
-func MatMulSlices(out, a, b []float32, m, k, n int) {
-	clear(out[:m*n])
-	matmulAcc(out, a, b, m, k, n)
+// Gemm computes out[m,n] = op(a) @ op(b), or out += op(a) @ op(b) when acc
+// is set, on raw row-major slices, with the output rows computed in
+// parallel under the intra-op budget par (1 ⇒ the serial kernel inline).
+// t names the stored-transposed operand (see Trans). ep, when non-nil, runs
+// on each completed output row inside the chunk that computed it. It is the
+// one float matmul entry point: dense and conv forward/backward, and the
+// frozen path's fused calls, all lower to it.
+func Gemm(par int, t Trans, acc bool, out, a, b []float32, m, k, n int, ep RowEpilogue) {
+	if len(out) < m*n || len(a) < m*k || len(b) < k*n {
+		panic(fmt.Sprintf("tensor: Gemm %dx%dx%d with out %d, a %d, b %d elements",
+			m, k, n, len(out), len(a), len(b)))
+	}
+	task := mmTask{t: t, acc: acc, out: out, a: a, b: b, m: m, k: k, n: n, ep: ep}
+	if par <= 1 {
+		task.Run(0, 0, m)
+		return
+	}
+	p := mmTaskPool.Get().(*mmTask)
+	*p = task
+	parallel.Run(par, m, mmGrain(k, n), p)
+	*p = mmTask{} // drop slice references before pooling
+	mmTaskPool.Put(p)
 }
 
 // matmulAcc is the blocked, register-tiled kernel: out[m,n] += a[m,k] @
@@ -106,14 +103,6 @@ func matmulAcc(out, a, b []float32, m, k, n int) {
 	}
 }
 
-// MatMulTransBAccSlices computes out[m,n] += a[m,k] @ b[n,k]ᵀ on raw
-// row-major slices — the allocation-free weight-gradient accumulation for
-// convolution (dW += dy @ colᵀ) on the per-batch training hot path, without
-// materializing the transpose.
-func MatMulTransBAccSlices(out, a, b []float32, m, k, n int) {
-	matMulTransB(out, a, b, m, k, n, true)
-}
-
 // matMulTransB computes out[m,n] (+)= a[m,k] @ b[n,k]ᵀ. Each output element
 // is a dot product of two contiguous rows; four dot products run at once so
 // every load of a's row feeds four accumulators.
@@ -158,35 +147,9 @@ func matMulTransB(out, a, b []float32, m, k, n int, acc bool) {
 	}
 }
 
-// MatMulTransAAccInto computes out += aᵀ @ b for a[k,m] and b[k,n] into the
-// existing [m,n] tensor — the allocation-free weight-gradient accumulation
-// (Grad += xᵀ @ dy) on the per-batch training hot path.
-func MatMulTransAAccInto(out, a, b *Tensor) {
-	if len(a.shape) != 2 || len(b.shape) != 2 {
-		panic("tensor: MatMulTransAAccInto needs 2-D tensors")
-	}
-	k, m := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTransAAccInto inner dims %d != %d", k, k2))
-	}
-	if out.shape[0] != m || out.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulTransAAccInto out shape %v, want [%d %d]", out.shape, m, n))
-	}
-	MatMulTransAAccSlices(out.data, a.data, b.data, k, m, n)
-}
-
-// MatMulTransAAccSlices is MatMulTransAAccInto on raw row-major slices:
-// out[m,n] += a[k,m]ᵀ @ b[k,n]. Convolution's input-gradient lowering
-// (dcol += Wᵀ @ dy) uses it directly, instead of materializing the weight
-// transpose per sample.
-func MatMulTransAAccSlices(out, a, b []float32, k, m, n int) {
-	matMulTransAAccRange(out, a, b, k, m, n, 0, m)
-}
-
-// matMulTransAAccRange is MatMulTransAAccSlices restricted to output rows
-// [i0, i1) — the row-parallel building block. out is still indexed with full
-// row stride n from row 0.
+// matMulTransAAccRange computes out[m,n] += a[k,m]ᵀ @ b[k,n] for output
+// rows [i0, i1) — the row-parallel building block. out is still indexed
+// with full row stride n from row 0.
 func matMulTransAAccRange(out, a, b []float32, k, m, n, i0, i1 int) {
 	// out[i,j] += Σ_x a[x,i]·b[x,j], with x ascending per target and four
 	// output columns held in registers across each x block. Blocking over x
@@ -230,20 +193,13 @@ func matMulTransAAccRange(out, a, b []float32, k, m, n, i0, i1 int) {
 	}
 }
 
-// Parallel kernel entry points ------------------------------------------------
-//
-// Each *P function is the corresponding serial kernel parallelized over
-// output rows under an intra-op budget: par is the maximum number of chunks
-// in flight (1 ⇒ the serial kernel, byte for byte). Work-based grains keep
-// small matmuls serial, so callers can pass their budget unconditionally.
-
 // mmGrain converts one output row's work (k·n multiply-adds) into the
 // minimum rows per parallel chunk.
 func mmGrain(k, n int) int { return parallel.GrainFor(k * n) }
 
 // RowEpilogue post-processes completed output rows of a matmul in place —
-// bias adds and activation functions fused into the kernel call. The *PEp
-// kernels apply it INSIDE each parallel chunk, right after the chunk's rows
+// bias adds and activation functions fused into the kernel call. Gemm
+// applies it INSIDE each parallel chunk, right after the chunk's rows
 // are computed, so the epilogue runs on cache-warm data and the output is
 // never re-traversed by a separate layer pass. Apply receives the global row
 // index r and the row slice out[r*n : (r+1)*n].
@@ -256,38 +212,31 @@ type RowEpilogue interface {
 	Apply(row []float32, r int)
 }
 
-// mmTask is the pooled parallel.Runner behind the *P kernels; recycling it
-// keeps the parallel dispatch path free of steady-state allocation.
+// mmTask is one Gemm call as a parallel.Runner over output rows; the
+// parallel path recycles it through mmTaskPool so dispatch stays free of
+// steady-state allocation.
 type mmTask struct {
-	kind      mmKind
-	out, a, b []float32
-	k, n, m   int
+	t         Trans
 	acc       bool
+	out, a, b []float32
+	m, k, n   int
 	ep        RowEpilogue
 }
-
-type mmKind uint8
-
-const (
-	mmAB     mmKind = iota // out[rows] = a[rows] @ b
-	mmTransB               // out[rows] (+)= a[rows] @ bᵀ
-	mmTransA               // out[rows] += aᵀ @ b, rows of the result
-)
 
 var mmTaskPool = sync.Pool{New: func() any { return new(mmTask) }}
 
 // Run implements parallel.Runner on a row range of the output.
 func (t *mmTask) Run(_, lo, hi int) {
-	switch t.kind {
-	case mmAB:
-		o := t.out[lo*t.n : hi*t.n]
-		if !t.acc {
-			clear(o)
-		}
+	o := t.out[lo*t.n : hi*t.n]
+	if !t.acc && t.t != TransB {
+		clear(o)
+	}
+	switch t.t {
+	case NoTrans:
 		matmulAcc(o, t.a[lo*t.k:hi*t.k], t.b, hi-lo, t.k, t.n)
-	case mmTransB:
-		matMulTransB(t.out[lo*t.n:hi*t.n], t.a[lo*t.k:hi*t.k], t.b, hi-lo, t.k, t.n, t.acc)
-	case mmTransA:
+	case TransB:
+		matMulTransB(o, t.a[lo*t.k:hi*t.k], t.b, hi-lo, t.k, t.n, t.acc)
+	case TransA:
 		matMulTransAAccRange(t.out, t.a, t.b, t.k, t.m, t.n, lo, hi)
 	}
 	if t.ep != nil {
@@ -300,124 +249,4 @@ func applyEpilogue(ep RowEpilogue, out []float32, n, lo, hi int) {
 	for r := lo; r < hi; r++ {
 		ep.Apply(out[r*n:(r+1)*n], r)
 	}
-}
-
-func runMMTask(par, rows int, fill mmTask) {
-	t := mmTaskPool.Get().(*mmTask)
-	*t = fill
-	parallel.Run(par, rows, mmGrain(t.k, t.n), t)
-	*t = mmTask{} // drop slice references before pooling
-	mmTaskPool.Put(t)
-}
-
-// MatMulSlicesP is MatMulSlices with output rows computed in parallel under
-// the given intra-op budget.
-func MatMulSlicesP(par int, out, a, b []float32, m, k, n int) {
-	if par <= 1 {
-		MatMulSlices(out, a, b, m, k, n)
-		return
-	}
-	runMMTask(par, m, mmTask{kind: mmAB, out: out, a: a, b: b, k: k, n: n})
-}
-
-// MatMulIntoP is MatMulInto with output rows computed in parallel under the
-// given intra-op budget.
-func MatMulIntoP(par int, out, a, b *Tensor) {
-	m, k := a.shape[0], a.shape[1]
-	n := b.shape[1]
-	if b.shape[0] != k || out.shape[0] != m || out.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulIntoP out shape %v, want [%d %d]", out.shape, m, n))
-	}
-	MatMulSlicesP(par, out.data, a.data, b.data, m, k, n)
-}
-
-// MatMulTransBIntoP computes out = a @ bᵀ for a[m,k] and b[n,k] into the
-// existing [m,n] tensor, output rows computed in parallel under the given
-// intra-op budget — the dense layer's input gradient (dx = dy @ Wᵀ).
-func MatMulTransBIntoP(par int, out, a, b *Tensor) {
-	if len(a.shape) != 2 || len(b.shape) != 2 {
-		panic("tensor: MatMulTransBIntoP needs 2-D tensors")
-	}
-	if a.shape[1] != b.shape[1] {
-		panic(fmt.Sprintf("tensor: MatMulTransBIntoP inner dims %d != %d", a.shape[1], b.shape[1]))
-	}
-	m, n := a.shape[0], b.shape[0]
-	if out.shape[0] != m || out.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulTransBIntoP out shape %v, want [%d %d]", out.shape, m, n))
-	}
-	k := a.shape[1]
-	if par <= 1 {
-		matMulTransB(out.data, a.data, b.data, m, k, n, false)
-		return
-	}
-	runMMTask(par, m, mmTask{kind: mmTransB, out: out.data, a: a.data, b: b.data, k: k, n: n})
-}
-
-// MatMulTransAAccIntoP is MatMulTransAAccInto with the result's rows
-// computed in parallel under the given intra-op budget.
-func MatMulTransAAccIntoP(par int, out, a, b *Tensor) {
-	if par <= 1 {
-		MatMulTransAAccInto(out, a, b)
-		return
-	}
-	k, m := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTransAAccIntoP inner dims %d != %d", k, k2))
-	}
-	if out.shape[0] != m || out.shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulTransAAccIntoP out shape %v, want [%d %d]", out.shape, m, n))
-	}
-	MatMulTransAAccSlicesP(par, out.data, a.data, b.data, k, m, n)
-}
-
-// MatMulTransAAccSlicesP is MatMulTransAAccSlices with the result's rows
-// computed in parallel under the given intra-op budget. The per-row work is
-// k·n multiply-adds (a full strided column of a), the same grain unit as the
-// other kernels.
-func MatMulTransAAccSlicesP(par int, out, a, b []float32, k, m, n int) {
-	if par <= 1 {
-		matMulTransAAccRange(out, a, b, k, m, n, 0, m)
-		return
-	}
-	runMMTask(par, m, mmTask{kind: mmTransA, out: out, a: a, b: b, k: k, m: m, n: n})
-}
-
-// Epilogue-fused kernel entry points ------------------------------------------
-//
-// The *PEp kernels are the inference fast path's fused matmuls: out = a @ b
-// with ep applied to each completed output row inside the chunk that computed
-// it. Bias adds and activations therefore cost one extra sweep over rows that
-// are still cache-resident, instead of whole separate layer passes over the
-// output tensor. A nil ep degrades to the plain kernel.
-//
-// They run the oracle kernels under every backend, so they are bit-exact at
-// every budget; only their weight-stationary wrappers (weights.go) dispatch
-// on the Backend (see backend.go).
-
-// MatMulSlicesPEp is MatMulSlicesP with a fused row epilogue.
-func MatMulSlicesPEp(par int, out, a, b []float32, m, k, n int, ep RowEpilogue) {
-	if par <= 1 {
-		MatMulSlices(out, a, b, m, k, n)
-		if ep != nil {
-			applyEpilogue(ep, out, n, 0, m)
-		}
-		return
-	}
-	runMMTask(par, m, mmTask{kind: mmAB, out: out, a: a, b: b, k: k, n: n, ep: ep})
-}
-
-// MatMulAccSlicesPEp is MatMulSlicesPEp without the initial clear:
-// out[m,n] += a[m,k] @ b[k,n], ep fused per completed row chunk. The frozen
-// Residual skip-path fold uses it to add the projected input onto the body
-// output in one pass.
-func MatMulAccSlicesPEp(par int, out, a, b []float32, m, k, n int, ep RowEpilogue) {
-	if par <= 1 {
-		matmulAcc(out, a, b, m, k, n)
-		if ep != nil {
-			applyEpilogue(ep, out, n, 0, m)
-		}
-		return
-	}
-	runMMTask(par, m, mmTask{kind: mmAB, acc: true, out: out, a: a, b: b, k: k, n: n, ep: ep})
 }

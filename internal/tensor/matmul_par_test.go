@@ -2,17 +2,19 @@ package tensor
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"heteroswitch/internal/frand"
 )
 
-// The parallel kernels promise BIT-identical results to the serial kernels
-// at every budget: row partitioning never splits a single output element's
-// accumulation, so not even float rounding may differ. Every comparison here
-// is exact equality, across shapes chosen to produce ragged partitions (M
-// and N not multiples of the tile width, the worker count, or each other)
-// and budgets from serial to beyond the machine.
+// Gemm promises BIT-identical results to its serial path at every budget:
+// row partitioning never splits a single output element's accumulation, so
+// not even float rounding may differ. Every comparison here is exact
+// equality, across shapes chosen to produce ragged partitions (M and N not
+// multiples of the tile width, the worker count, or each other) and budgets
+// from serial to beyond the machine.
 
 var parShapes = []struct{ m, k, n int }{
 	{1, 1, 1},
@@ -39,112 +41,146 @@ func exactEqual(t *testing.T, name string, got, want []float32) {
 	}
 }
 
-// TestMatMulIntoPBitIdentical covers out = a @ b.
-func TestMatMulIntoPBitIdentical(t *testing.T) {
-	r := frand.New(21)
-	for _, sz := range parShapes {
-		a := Randn(r, 1, sz.m, sz.k)
-		b := Randn(r, 1, sz.k, sz.n)
-		want := New(sz.m, sz.n)
-		MatMulInto(want, a, b)
-		for _, par := range parBudgets {
-			got := Randn(r, 1, sz.m, sz.n) // junk, must be fully overwritten
-			MatMulIntoP(par, got, a, b)
-			exactEqual(t, fmt.Sprintf("MatMulIntoP(%d) %dx%dx%d", par, sz.m, sz.k, sz.n),
-				got.Data(), want.Data())
-		}
-	}
-}
-
-// TestMatMulTransBIntoPBitIdentical covers out = a @ bᵀ against the serial
-// kernel, and the accumulating slice form out += a @ bᵀ, which adds each
+// TestGemmBitIdenticalAcrossBudgets covers every Gemm form — each Trans,
+// overwrite and accumulate, with and without a fused epilogue — at every
+// budget and under every backend, against the serial Gemm(1, …) followed by
+// a separate per-row epilogue pass. Overwriting forms start from junk that
+// must be fully replaced. TransB's accumulate additionally adds each
 // finished dot product onto out in one rounding step.
-func TestMatMulTransBIntoPBitIdentical(t *testing.T) {
-	r := frand.New(22)
-	for _, sz := range parShapes {
-		a := Randn(r, 1, sz.m, sz.k)
-		b := Randn(r, 1, sz.n, sz.k)
-		want := New(sz.m, sz.n)
-		matMulTransB(want.Data(), a.Data(), b.Data(), sz.m, sz.k, sz.n, false)
-		base := Randn(r, 1, sz.m, sz.n)
-		wantAcc := base.Clone()
-		for i, v := range want.Data() {
-			wantAcc.Data()[i] += v
-		}
-		gotAcc := base.Clone()
-		MatMulTransBAccSlices(gotAcc.Data(), a.Data(), b.Data(), sz.m, sz.k, sz.n)
-		exactEqual(t, fmt.Sprintf("MatMulTransBAccSlices %dx%dx%d", sz.m, sz.k, sz.n),
-			gotAcc.Data(), wantAcc.Data())
-		for _, par := range parBudgets {
-			got := Randn(r, 1, sz.m, sz.n)
-			MatMulTransBIntoP(par, got, a, b)
-			exactEqual(t, fmt.Sprintf("MatMulTransBIntoP(%d) %dx%dx%d", par, sz.m, sz.k, sz.n),
-				got.Data(), want.Data())
-		}
-	}
-}
-
-// TestMatMulTransAAccPBitIdentical covers out += aᵀ @ b (the weight-gradient
-// kernel), whose parallel dimension is the result's rows (a's columns).
-func TestMatMulTransAAccPBitIdentical(t *testing.T) {
-	r := frand.New(23)
-	for _, sz := range parShapes {
-		a := Randn(r, 1, sz.k, sz.m)
-		b := Randn(r, 1, sz.k, sz.n)
-		base := Randn(r, 1, sz.m, sz.n)
-		want := base.Clone()
-		MatMulTransAAccInto(want, a, b)
-		for _, par := range parBudgets {
-			got := base.Clone()
-			MatMulTransAAccIntoP(par, got, a, b)
-			exactEqual(t, fmt.Sprintf("MatMulTransAAccIntoP(%d) %dx%dx%d", par, sz.m, sz.k, sz.n),
-				got.Data(), want.Data())
-
-			gotS := base.Clone()
-			MatMulTransAAccSlicesP(par, gotS.Data(), a.Data(), b.Data(), sz.k, sz.m, sz.n)
-			exactEqual(t, fmt.Sprintf("MatMulTransAAccSlicesP(%d) %dx%dx%d", par, sz.m, sz.k, sz.n),
-				gotS.Data(), want.Data())
+func TestGemmBitIdenticalAcrossBudgets(t *testing.T) {
+	r := frand.New(21)
+	for _, be := range []Backend{BackendSerial, BackendInt8} {
+		forceBackend(t, be) // Gemm never consults the backend
+		for _, tr := range []Trans{NoTrans, TransA, TransB} {
+			for _, acc := range []bool{false, true} {
+				for _, fused := range []bool{false, true} {
+					for _, sz := range parShapes {
+						m, k, n := sz.m, sz.k, sz.n
+						// m·k and k·n elements serve every storage order.
+						a := Randn(r, 1, m, k).Data()
+						b := Randn(r, 1, k, n).Data()
+						base := Randn(r, 1, m, n).Data()
+						want := slices.Clone(base)
+						Gemm(1, tr, acc, want, a, b, m, k, n, nil)
+						if tr == TransB && acc {
+							prod := make([]float32, m*n)
+							Gemm(1, TransB, false, prod, a, b, m, k, n, nil)
+							for i := range prod {
+								prod[i] += base[i]
+							}
+							exactEqual(t, fmt.Sprintf("TransB acc one rounding %dx%dx%d", m, k, n), want, prod)
+						}
+						var ep RowEpilogue
+						if fused {
+							e := &testEpilogue{bias: Randn(r, 1, m).Data()}
+							for i := 0; i < m; i++ {
+								e.Apply(want[i*n:(i+1)*n], i)
+							}
+							ep = e
+						}
+						for _, par := range parBudgets {
+							got := slices.Clone(base)
+							Gemm(par, tr, acc, got, a, b, m, k, n, ep)
+							exactEqual(t, fmt.Sprintf("backend=%s Gemm(%d, trans=%d, acc=%v, ep=%v) %dx%dx%d",
+								be, par, tr, acc, fused, m, k, n), got, want)
+						}
+					}
+				}
+			}
 		}
 	}
 }
 
-// TestMatMulSlicesPBitIdentical covers the header-free entry point the conv
-// lowering uses.
-func TestMatMulSlicesPBitIdentical(t *testing.T) {
-	r := frand.New(24)
-	for _, sz := range parShapes {
-		a := Randn(r, 1, sz.m, sz.k)
-		b := Randn(r, 1, sz.k, sz.n)
-		want := make([]float32, sz.m*sz.n)
-		MatMulSlices(want, a.Data(), b.Data(), sz.m, sz.k, sz.n)
-		for _, par := range parBudgets {
-			got := Randn(r, 1, sz.m, sz.n)
-			MatMulSlicesP(par, got.Data(), a.Data(), b.Data(), sz.m, sz.k, sz.n)
-			exactEqual(t, fmt.Sprintf("MatMulSlicesP(%d) %dx%dx%d", par, sz.m, sz.k, sz.n),
-				got.Data(), want)
-		}
-	}
-}
-
-// TestMatMulPZeroAllocSteadyState verifies the parallel dispatch path
-// allocates nothing once warm — the kernels must be safe on the
-// zero-allocation training hot path.
+// TestMatMulPZeroAllocSteadyState verifies Gemm allocates nothing once warm,
+// serial or parallel, with a fused epilogue, in every Trans form — the
+// kernels must be safe on the zero-allocation training hot path.
 func TestMatMulPZeroAllocSteadyState(t *testing.T) {
 	r := frand.New(25)
-	a := Randn(r, 1, 128, 96)
-	b := Randn(r, 1, 96, 100)
-	out := New(128, 100)
-	MatMulIntoP(4, out, a, b) // warm pool + task pools
-	allocs := testing.AllocsPerRun(20, func() {
-		MatMulIntoP(4, out, a, b)
-	})
-	if allocs != 0 {
-		t.Fatalf("MatMulIntoP steady state allocates %.1f/op, want 0", allocs)
+	a := Randn(r, 1, 128, 96).Data()
+	b := Randn(r, 1, 96, 100).Data()
+	out := make([]float32, 128*100)
+	ep := &testEpilogue{bias: Randn(r, 1, 128).Data()}
+	for _, tr := range []Trans{NoTrans, TransA, TransB} {
+		for _, par := range []int{1, 4} {
+			if par > 1 && raceEnabled {
+				continue // sync.Pool drops items at random under -race
+			}
+			Gemm(par, tr, false, out, a, b, 128, 96, 100, ep) // warm pool + task pools
+			allocs := testing.AllocsPerRun(20, func() {
+				Gemm(par, tr, false, out, a, b, 128, 96, 100, ep)
+			})
+			if allocs != 0 {
+				t.Fatalf("Gemm(%d, trans=%d) steady state allocates %.1f/op, want 0", par, tr, allocs)
+			}
+		}
 	}
+}
+
+// FuzzGemm differentially checks Gemm on random shapes m, k, n ∈ [0, 70]
+// (k = 0 and every n mod 4 tail included) for each Trans, overwrite or
+// accumulate, and budgets 2, 3 and 5: the parallel result must be
+// bit-identical to Gemm(1, …), and Gemm(1, …) must agree with a float64
+// loop to 1e-4 relative to the magnitude sum Σ|base| + Σ|a·b| per element.
+func FuzzGemm(f *testing.F) {
+	// Seeds: every Trans × acc, plus k = 0 and m = 0.
+	f.Add(uint8(70), uint8(70), uint8(70), uint8(0), false, uint8(0), uint64(1))
+	f.Add(uint8(17), uint8(9), uint8(6), uint8(0), true, uint8(1), uint64(2))
+	f.Add(uint8(21), uint8(11), uint8(7), uint8(1), false, uint8(2), uint64(3))
+	f.Add(uint8(13), uint8(5), uint8(9), uint8(1), true, uint8(1), uint64(4))
+	f.Add(uint8(19), uint8(6), uint8(5), uint8(2), false, uint8(0), uint64(5))
+	f.Add(uint8(65), uint8(33), uint8(5), uint8(2), true, uint8(2), uint64(6))
+	f.Add(uint8(13), uint8(0), uint8(7), uint8(1), true, uint8(1), uint64(7))
+	f.Add(uint8(0), uint8(9), uint8(6), uint8(0), false, uint8(1), uint64(8))
+	f.Fuzz(func(t *testing.T, mb, kb, nb, tb uint8, acc bool, pb uint8, seed uint64) {
+		m, k, n := int(mb)%71, int(kb)%71, int(nb)%71
+		tr := Trans(tb % 3)
+		par := []int{2, 3, 5}[pb%3]
+		r := frand.New(seed)
+		fill := func(size int) []float32 {
+			s := make([]float32, size)
+			for i := range s {
+				s[i] = float32(r.NormFloat64())
+			}
+			return s
+		}
+		a, b, base := fill(m*k), fill(k*n), fill(m*n)
+		want := slices.Clone(base)
+		Gemm(1, tr, acc, want, a, b, m, k, n, nil)
+		got := slices.Clone(base)
+		Gemm(par, tr, acc, got, a, b, m, k, n, nil)
+		exactEqual(t, fmt.Sprintf("Gemm(%d, trans=%d, acc=%v) %dx%dx%d", par, tr, acc, m, k, n), got, want)
+
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				var ref, mag float64
+				if acc {
+					ref, mag = float64(base[i*n+j]), math.Abs(float64(base[i*n+j]))
+				}
+				for x := 0; x < k; x++ {
+					var av, bv float32
+					switch tr {
+					case NoTrans:
+						av, bv = a[i*k+x], b[x*n+j]
+					case TransA:
+						av, bv = a[x*m+i], b[x*n+j]
+					case TransB:
+						av, bv = a[i*k+x], b[j*k+x]
+					}
+					p := float64(av) * float64(bv)
+					ref += p
+					mag += math.Abs(p)
+				}
+				if d := math.Abs(float64(want[i*n+j]) - ref); d > 1e-4*mag {
+					t.Fatalf("trans=%d acc=%v %dx%dx%d: [%d,%d] = %v, float64 %v (magnitude %v)",
+						tr, acc, m, k, n, i, j, want[i*n+j], ref, mag)
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkMatMulParallel extends BenchmarkMatMul with the intra-op
-// dimension: the same kernels at budgets 1/2/4/8 on kernel-sized and
+// dimension: the same Gemm forms at budgets 1/2/4/8 on kernel-sized and
 // larger-than-cache matrices.
 func BenchmarkMatMulParallel(b *testing.B) {
 	r := frand.New(12)
@@ -161,19 +197,19 @@ func BenchmarkMatMulParallel(b *testing.B) {
 			b.Run(name("Into"), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					MatMulIntoP(par, out, a, bb)
+					Gemm(par, NoTrans, false, out.Data(), a.Data(), bb.Data(), sz.m, sz.k, sz.n, nil)
 				}
 			})
 			b.Run(name("TransBInto"), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					MatMulTransBIntoP(par, out, a, bt)
+					Gemm(par, TransB, false, out.Data(), a.Data(), bt.Data(), sz.m, sz.k, sz.n, nil)
 				}
 			})
 			b.Run(name("TransAAccInto"), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					MatMulTransAAccIntoP(par, out, at, bb)
+					Gemm(par, TransA, true, out.Data(), at.Data(), bb.Data(), sz.m, sz.k, sz.n, nil)
 				}
 			})
 		}

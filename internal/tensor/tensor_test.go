@@ -164,6 +164,15 @@ func TestTranspose2D(t *testing.T) {
 	}
 }
 
+// matMul returns a[m,k] @ b[k,n] as a new [m,n] tensor through the serial
+// Gemm.
+func matMul(a, b *Tensor) *Tensor {
+	m, k, n := a.Dim(0), a.Dim(1), b.Dim(1)
+	out := New(m, n)
+	Gemm(1, NoTrans, false, out.Data(), a.Data(), b.Data(), m, k, n, nil)
+	return out
+}
+
 // naiveMatMul is the reference implementation for testing the blocked kernel.
 func naiveMatMul(a, b *Tensor) *Tensor {
 	m, k := a.Dim(0), a.Dim(1)
@@ -184,10 +193,10 @@ func naiveMatMul(a, b *Tensor) *Tensor {
 func TestMatMulSmall(t *testing.T) {
 	a := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
 	b := FromSlice([]float32{5, 6, 7, 8}, 2, 2)
-	got := MatMul(a, b)
+	got := matMul(a, b)
 	want := FromSlice([]float32{19, 22, 43, 50}, 2, 2)
 	if !got.AllClose(want, 1e-5) {
-		t.Fatalf("MatMul = %v", got.Data())
+		t.Fatalf("Gemm = %v", got.Data())
 	}
 }
 
@@ -197,10 +206,10 @@ func TestMatMulMatchesNaive(t *testing.T) {
 		m, k, n := dims[0], dims[1], dims[2]
 		a := Randn(r, 1, m, k)
 		b := Randn(r, 1, k, n)
-		got := MatMul(a, b)
+		got := matMul(a, b)
 		want := naiveMatMul(a, b)
 		if !got.AllClose(want, 1e-3) {
-			t.Fatalf("MatMul %dx%dx%d diverges from naive", m, k, n)
+			t.Fatalf("Gemm %dx%dx%d diverges from naive", m, k, n)
 		}
 	}
 }
@@ -209,11 +218,11 @@ func TestMatMulTransB(t *testing.T) {
 	r := frand.New(2)
 	a := Randn(r, 1, 7, 5)
 	b := Randn(r, 1, 9, 5)
-	got := New(7, 9)
-	MatMulTransBIntoP(1, got, a, b)
-	want := MatMul(a, b.Transpose2D())
+	got := Full(3, 7, 9) // must be fully overwritten
+	Gemm(1, TransB, false, got.Data(), a.Data(), b.Data(), 7, 5, 9, nil)
+	want := matMul(a, b.Transpose2D())
 	if !got.AllClose(want, 1e-4) {
-		t.Fatal("MatMulTransBIntoP != a @ bT")
+		t.Fatal("Gemm TransB != a @ bT")
 	}
 }
 
@@ -221,11 +230,11 @@ func TestMatMulTransA(t *testing.T) {
 	r := frand.New(3)
 	a := Randn(r, 1, 8, 4)
 	b := Randn(r, 1, 8, 6)
-	got := New(4, 6)
-	MatMulTransAAccInto(got, a, b)
-	want := MatMul(a.Transpose2D(), b)
+	got := Full(3, 4, 6) // must be fully overwritten
+	Gemm(1, TransA, false, got.Data(), a.Data(), b.Data(), 4, 8, 6, nil)
+	want := matMul(a.Transpose2D(), b)
 	if !got.AllClose(want, 1e-4) {
-		t.Fatal("MatMulTransAAccInto != aT @ b")
+		t.Fatal("Gemm TransA != aT @ b")
 	}
 }
 
@@ -233,10 +242,10 @@ func TestMatMulAccInto(t *testing.T) {
 	a := FromSlice([]float32{1, 0, 0, 1}, 2, 2)
 	b := FromSlice([]float32{1, 2, 3, 4}, 2, 2)
 	out := Ones(2, 2)
-	matmulAcc(out.Data(), a.Data(), b.Data(), 2, 2, 2)
+	Gemm(1, NoTrans, true, out.Data(), a.Data(), b.Data(), 2, 2, 2, nil)
 	want := FromSlice([]float32{2, 3, 4, 5}, 2, 2)
 	if !out.AllClose(want, 1e-6) {
-		t.Fatalf("matmulAcc = %v", out.Data())
+		t.Fatalf("Gemm acc = %v", out.Data())
 	}
 }
 
@@ -322,7 +331,7 @@ func TestIm2ColCol2ImAdjoint(t *testing.T) {
 			lhs += float64(cx[i]) * float64(y[i])
 		}
 		iy := make([]float32, len(x))
-		Col2Im(iy, y, d)
+		Col2Im(1, iy, y, d)
 		var rhs float64
 		for i := range x {
 			rhs += float64(x[i]) * float64(iy[i])
@@ -385,7 +394,7 @@ func TestAddSubInverseProperty(t *testing.T) {
 	}
 }
 
-// Property: MatMul distributes over addition: (a+b)@c == a@c + b@c.
+// Property: Gemm distributes over addition: (a+b)@c == a@c + b@c.
 func TestMatMulLinearityProperty(t *testing.T) {
 	r := frand.New(19)
 	f := func(seed uint16) bool {
@@ -394,9 +403,9 @@ func TestMatMulLinearityProperty(t *testing.T) {
 		a := Randn(r, 1, m, k)
 		b := Randn(r, 1, m, k)
 		c := Randn(r, 1, k, n)
-		lhs := MatMul(a.Add(b), c)
-		rhs := MatMul(a, c)
-		rhs.AddInPlace(MatMul(b, c))
+		lhs := matMul(a.Add(b), c)
+		rhs := matMul(a, c)
+		rhs.AddInPlace(matMul(b, c))
 		return lhs.AllClose(rhs, 1e-3)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -411,7 +420,7 @@ func BenchmarkMatMul64(b *testing.B) {
 	out := New(64, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMulInto(out, x, y)
+		Gemm(1, NoTrans, false, out.Data(), x.Data(), y.Data(), 64, 64, 64, nil)
 	}
 }
 
@@ -422,7 +431,7 @@ func BenchmarkMatMul256(b *testing.B) {
 	out := New(256, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMulInto(out, x, y)
+		Gemm(1, NoTrans, false, out.Data(), x.Data(), y.Data(), 256, 256, 256, nil)
 	}
 }
 

@@ -212,8 +212,8 @@ func (pw *PackedWeights) quantizeA(w []float32) {
 //
 // These are the tolerance-tier entries the frozen ops call when they hold a
 // PackedWeights handle. BackendInt8 runs the integer microkernel against the
-// handle's quantized form; otherwise they run the oracle fused kernels on the
-// caller's float weights.
+// handle's quantized form; otherwise they run Gemm on the caller's float
+// weights.
 
 // MatMulWBSlicesPEp computes out[m,n] (+)= a[m,k] @ W for a weights-as-B
 // handle (k, n from the handle), ep fused per completed row chunk — the
@@ -225,11 +225,7 @@ func MatMulWBSlicesPEp(par int, out, a, w []float32, pw *PackedWeights, m int, a
 		matMulInt8B(par, out, a, pw, m, accum, ep)
 		return
 	}
-	if accum {
-		MatMulAccSlicesPEp(par, out, a, w, m, k, n, ep)
-		return
-	}
-	MatMulSlicesPEp(par, out, a, w, m, k, n, ep)
+	Gemm(par, NoTrans, accum, out, a, w, m, k, n, ep)
 }
 
 // MatMulWASlicesPEp computes out[rows,n] (+)= W[rowOff:rowOff+rows] @ b for
@@ -243,9 +239,5 @@ func MatMulWASlicesPEp(par int, out, w []float32, pw *PackedWeights, rowOff, row
 		matMulInt8A(par, out, pw, rowOff, rows, b, n, accum, ep)
 		return
 	}
-	if accum {
-		MatMulAccSlicesPEp(par, out, w, b, rows, k, n, ep)
-		return
-	}
-	MatMulSlicesPEp(par, out, w, b, rows, k, n, ep)
+	Gemm(par, NoTrans, accum, out, w, b, rows, k, n, ep)
 }

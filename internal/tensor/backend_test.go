@@ -7,9 +7,8 @@ import (
 	"heteroswitch/internal/frand"
 )
 
-// The backend contract (backend.go): Gemm ignores the backend (the table in
-// matmul_par_test.go runs it under both), and the flag surface accepts only
-// the two backends.
+// The backend contract (backend.go): Gemm ignores the backend, and the flag
+// surface accepts only the two backends.
 
 // forceBackend pins the process-wide backend for one test and restores the
 // previous selection afterwards.
@@ -53,6 +52,18 @@ func rowArgmax(row []float32) int {
 // sums to ~sqrt(k)).
 func fanInScaled(r *frand.RNG, k, n int) *Tensor {
 	return Randn(r, 1/math.Sqrt(float64(k)), k, n)
+}
+
+// TestSerialBackendBitIdentical: Gemm runs the oracle kernels under every
+// backend (int8 only reroutes calls that carry a weight handle), so every
+// form — each Trans, overwrite and accumulate, plain and fused — is
+// bit-identical to Gemm(1, …) plus a separate epilogue pass under int8 too,
+// on the parallel shapes and the int8 microkernel's tail shapes.
+func TestSerialBackendBitIdentical(t *testing.T) {
+	trs := []Trans{NoTrans, TransA, TransB}
+	int8Only := []Backend{BackendInt8}
+	checkGemmBitIdentical(t, 93, int8Only, trs, both, both, parShapes, parBudgets)
+	checkGemmBitIdentical(t, 94, int8Only, trs, both, both, packedShapes, packedBudgets)
 }
 
 // TestBackendParse pins the flag surface: the two backends round-trip, and

@@ -41,20 +41,22 @@ func exactEqual(t *testing.T, name string, got, want []float32) {
 	}
 }
 
-// TestGemmBitIdenticalAcrossBudgets covers every Gemm form — each Trans,
-// overwrite and accumulate, with and without a fused epilogue — at every
-// budget and under every backend, against the serial Gemm(1, …) followed by
-// a separate per-row epilogue pass. Overwriting forms start from junk that
+// checkGemmBitIdentical runs every combination of the given backends,
+// Trans forms, accumulate flags and fused flags over shapes, comparing
+// Gemm(par, …) at every budget against the serial Gemm(1, …) followed by a
+// separate per-row epilogue pass. Overwriting forms start from junk that
 // must be fully replaced. TransB's accumulate additionally adds each
 // finished dot product onto out in one rounding step.
-func TestGemmBitIdenticalAcrossBudgets(t *testing.T) {
-	r := frand.New(21)
-	for _, be := range []Backend{BackendSerial, BackendInt8} {
+func checkGemmBitIdentical(t *testing.T, seed uint64, backends []Backend, trs []Trans, accs, fuseds []bool,
+	shapes []struct{ m, k, n int }, budgets []int) {
+	t.Helper()
+	r := frand.New(seed)
+	for _, be := range backends {
 		forceBackend(t, be) // Gemm never consults the backend
-		for _, tr := range []Trans{NoTrans, TransA, TransB} {
-			for _, acc := range []bool{false, true} {
-				for _, fused := range []bool{false, true} {
-					for _, sz := range parShapes {
+		for _, tr := range trs {
+			for _, acc := range accs {
+				for _, fused := range fuseds {
+					for _, sz := range shapes {
 						m, k, n := sz.m, sz.k, sz.n
 						// m·k and k·n elements serve every storage order.
 						a := Randn(r, 1, m, k).Data()
@@ -78,7 +80,7 @@ func TestGemmBitIdenticalAcrossBudgets(t *testing.T) {
 							}
 							ep = e
 						}
-						for _, par := range parBudgets {
+						for _, par := range budgets {
 							got := slices.Clone(base)
 							Gemm(par, tr, acc, got, a, b, m, k, n, ep)
 							exactEqual(t, fmt.Sprintf("backend=%s Gemm(%d, trans=%d, acc=%v, ep=%v) %dx%dx%d",
@@ -89,6 +91,52 @@ func TestGemmBitIdenticalAcrossBudgets(t *testing.T) {
 			}
 		}
 	}
+}
+
+// The tests below split the Gemm cross product between them. Under the
+// serial backend: unfused NoTrans (overwrite, then accumulate), unfused
+// TransB, unfused TransA, then every form fused. TestSerialBackendBitIdentical
+// (backend_test.go) repeats every form under the int8 backend.
+
+// Each passes the Backend, Trans, acc and fused axes in that order; off, on
+// and both are the values a bool axis may take.
+var (
+	serialOnly = []Backend{BackendSerial}
+	off        = []bool{false}
+	on         = []bool{true}
+	both       = []bool{false, true}
+)
+
+// TestMatMulIntoPBitIdentical covers out = a @ b.
+func TestMatMulIntoPBitIdentical(t *testing.T) {
+	checkGemmBitIdentical(t, 21, serialOnly, []Trans{NoTrans}, off, off, parShapes, parBudgets)
+}
+
+// TestMatMulSlicesPBitIdentical covers out += a @ b, the form the
+// weight-stationary wrappers take when asked to accumulate.
+func TestMatMulSlicesPBitIdentical(t *testing.T) {
+	checkGemmBitIdentical(t, 24, serialOnly, []Trans{NoTrans}, on, off, parShapes, parBudgets)
+}
+
+// TestMatMulTransBIntoPBitIdentical covers out = a @ bᵀ and out += a @ bᵀ,
+// including the one-rounding accumulate check.
+func TestMatMulTransBIntoPBitIdentical(t *testing.T) {
+	checkGemmBitIdentical(t, 22, serialOnly, []Trans{TransB}, both, off, parShapes, parBudgets)
+}
+
+// TestMatMulTransAAccPBitIdentical covers out += aᵀ @ b (the weight-gradient
+// kernel), whose parallel dimension is the result's rows (a's columns), and
+// its overwriting form.
+func TestMatMulTransAAccPBitIdentical(t *testing.T) {
+	checkGemmBitIdentical(t, 23, serialOnly, []Trans{TransA}, both, off, parShapes, parBudgets)
+}
+
+// TestMatMulEpilogueBitIdentical: the fused epilogue runs row-locally inside
+// each chunk, so a fused Gemm must equal the unfused Gemm followed by the
+// same per-row pass, bit for bit, at every budget, in every Trans form,
+// overwriting or accumulating.
+func TestMatMulEpilogueBitIdentical(t *testing.T) {
+	checkGemmBitIdentical(t, 79, serialOnly, []Trans{NoTrans, TransA, TransB}, both, on, parShapes, parBudgets)
 }
 
 // TestMatMulPZeroAllocSteadyState verifies Gemm allocates nothing once warm,

@@ -87,9 +87,6 @@ type AffineService struct {
 // Batch implements ServiceModel.
 func (m AffineService) Batch(n, _ int) float64 { return m.Base + m.PerItem*float64(n) }
 
-// finiteNonNeg reports whether v is a finite, non-negative virtual duration.
-func finiteNonNeg(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
-
 // ParseArrival builds an ArrivalModel from a CLI spec, seeding it from seed.
 // Specs:
 //

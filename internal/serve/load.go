@@ -176,7 +176,8 @@ func (s *Server) beginLoad(lc LoadConfig) error {
 	if len(lc.Inputs) == 0 {
 		return fmt.Errorf("serve: load needs a non-empty input bank")
 	}
-	if m, ok := lc.Service.(AffineService); ok && !(finiteNonNeg(m.Base) && finiteNonNeg(m.PerItem)) {
+	if m, ok := lc.Service.(AffineService); ok && (!(m.Base >= 0) || math.IsInf(m.Base, 1) ||
+		!(m.PerItem >= 0) || math.IsInf(m.PerItem, 1)) {
 		return fmt.Errorf("serve: service model %+v needs finite, non-negative Base and PerItem", m)
 	}
 	ld := &s.ld

@@ -41,21 +41,21 @@ func exactEqual(t *testing.T, name string, got, want []float32) {
 	}
 }
 
-// checkGemmBitIdentical runs every combination of the given backends,
-// Trans forms, accumulate flags and fused flags over shapes, comparing
-// Gemm(par, …) at every budget against the serial Gemm(1, …) followed by a
-// separate per-row epilogue pass. Overwriting forms start from junk that
-// must be fully replaced. TransB's accumulate additionally adds each
-// finished dot product onto out in one rounding step.
-func checkGemmBitIdentical(t *testing.T, seed uint64, backends []Backend, trs []Trans, accs, fuseds []bool,
-	shapes []struct{ m, k, n int }, budgets []int) {
+// checkGemmBitIdentical runs each of the given Trans forms, overwriting and
+// accumulating, plain and with a fused epilogue, under both backends (Gemm
+// never consults the backend) over shapes, comparing Gemm(par, …) at every
+// budget against the serial Gemm(1, …) followed by a separate per-row
+// epilogue pass. Overwriting forms start from junk that must be fully
+// replaced. TransB's accumulate additionally adds each finished dot product
+// onto out in one rounding step.
+func checkGemmBitIdentical(t *testing.T, seed uint64, shapes []struct{ m, k, n int }, budgets []int, trs ...Trans) {
 	t.Helper()
 	r := frand.New(seed)
-	for _, be := range backends {
-		forceBackend(t, be) // Gemm never consults the backend
+	for _, be := range []Backend{BackendSerial, BackendInt8} {
+		forceBackend(t, be)
 		for _, tr := range trs {
-			for _, acc := range accs {
-				for _, fused := range fuseds {
+			for _, acc := range []bool{false, true} {
+				for _, fused := range []bool{false, true} {
 					for _, sz := range shapes {
 						m, k, n := sz.m, sz.k, sz.n
 						// m·k and k·n elements serve every storage order.
@@ -93,42 +93,29 @@ func checkGemmBitIdentical(t *testing.T, seed uint64, backends []Backend, trs []
 	}
 }
 
-// The tests below split the Gemm cross product between them. Under the
-// serial backend: unfused NoTrans (overwrite, then accumulate), unfused
-// TransB, unfused TransA, then every form fused. TestSerialBackendBitIdentical
-// (backend_test.go) repeats every form under the int8 backend.
-
-// Each passes the Backend, Trans, acc and fused axes in that order; off, on
-// and both are the values a bool axis may take.
-var (
-	serialOnly = []Backend{BackendSerial}
-	off        = []bool{false}
-	on         = []bool{true}
-	both       = []bool{false, true}
-)
-
-// TestMatMulIntoPBitIdentical covers out = a @ b.
+// TestMatMulIntoPBitIdentical covers out = a @ b and out += a @ b.
 func TestMatMulIntoPBitIdentical(t *testing.T) {
-	checkGemmBitIdentical(t, 21, serialOnly, []Trans{NoTrans}, off, off, parShapes, parBudgets)
+	checkGemmBitIdentical(t, 21, parShapes, parBudgets, NoTrans)
 }
 
-// TestMatMulSlicesPBitIdentical covers out += a @ b, the form the
-// weight-stationary wrappers take when asked to accumulate.
+// TestMatMulSlicesPBitIdentical covers the NoTrans form again from a fresh
+// seed; its accumulating arm is what the weight-stationary wrappers run when
+// asked to accumulate.
 func TestMatMulSlicesPBitIdentical(t *testing.T) {
-	checkGemmBitIdentical(t, 24, serialOnly, []Trans{NoTrans}, on, off, parShapes, parBudgets)
+	checkGemmBitIdentical(t, 24, parShapes, parBudgets, NoTrans)
 }
 
 // TestMatMulTransBIntoPBitIdentical covers out = a @ bᵀ and out += a @ bᵀ,
 // including the one-rounding accumulate check.
 func TestMatMulTransBIntoPBitIdentical(t *testing.T) {
-	checkGemmBitIdentical(t, 22, serialOnly, []Trans{TransB}, both, off, parShapes, parBudgets)
+	checkGemmBitIdentical(t, 22, parShapes, parBudgets, TransB)
 }
 
 // TestMatMulTransAAccPBitIdentical covers out += aᵀ @ b (the weight-gradient
 // kernel), whose parallel dimension is the result's rows (a's columns), and
 // its overwriting form.
 func TestMatMulTransAAccPBitIdentical(t *testing.T) {
-	checkGemmBitIdentical(t, 23, serialOnly, []Trans{TransA}, both, off, parShapes, parBudgets)
+	checkGemmBitIdentical(t, 23, parShapes, parBudgets, TransA)
 }
 
 // TestMatMulEpilogueBitIdentical: the fused epilogue runs row-locally inside
@@ -136,7 +123,7 @@ func TestMatMulTransAAccPBitIdentical(t *testing.T) {
 // same per-row pass, bit for bit, at every budget, in every Trans form,
 // overwriting or accumulating.
 func TestMatMulEpilogueBitIdentical(t *testing.T) {
-	checkGemmBitIdentical(t, 79, serialOnly, []Trans{NoTrans, TransA, TransB}, both, on, parShapes, parBudgets)
+	checkGemmBitIdentical(t, 79, parShapes, parBudgets, NoTrans, TransA, TransB)
 }
 
 // TestMatMulPZeroAllocSteadyState verifies Gemm allocates nothing once warm,
@@ -150,9 +137,6 @@ func TestMatMulPZeroAllocSteadyState(t *testing.T) {
 	ep := &testEpilogue{bias: Randn(r, 1, 128).Data()}
 	for _, tr := range []Trans{NoTrans, TransA, TransB} {
 		for _, par := range []int{1, 4} {
-			if par > 1 && raceEnabled {
-				continue // sync.Pool drops items at random under -race
-			}
 			Gemm(par, tr, false, out, a, b, 128, 96, 100, ep) // warm pool + task pools
 			allocs := testing.AllocsPerRun(20, func() {
 				Gemm(par, tr, false, out, a, b, 128, 96, 100, ep)
